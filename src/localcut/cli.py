@@ -65,6 +65,13 @@ def _emit(record: dict, out: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _floor_fields(record: dict, name: str, value: Fraction, achieved: int) -> None:
     record["floor_name"] = name
     record["floor_value_num"] = value.numerator
@@ -206,17 +213,14 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite == "all":
-        reports = {name: fn(**({"seed": args.seed} if "seed" in
-                                fn.__code__.co_varnames else {}))
+        reports = {name: fn(seed=args.seed)
                    for name, fn in verify_mod.SUITES.items()}
         record = {
             "suites": reports,
             "pass": all(r["pass"] for r in reports.values()),
         }
     else:
-        fn = verify_mod.SUITES[args.suite]
-        kwargs = {"seed": args.seed} if "seed" in fn.__code__.co_varnames else {}
-        record = fn(**kwargs)
+        record = verify_mod.SUITES[args.suite](seed=args.seed)
     _emit(record, args.out)
     return 0 if record["pass"] else 1
 
@@ -268,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "dflip", "seqflip", "random"])
     p.add_argument("--graph", required=True)
     p.add_argument("--ids", choices=["auto", "identity", "file"], default="auto")
-    p.add_argument("--flips", type=int, default=2)
-    p.add_argument("--rounds", type=int, default=10)
+    p.add_argument("--flips", type=_non_negative_int, default=2)
+    p.add_argument("--rounds", type=_non_negative_int, default=10)
     p.add_argument("--start", choices=["all-left", "half", "random"], default="half")
     p.add_argument("--order", default="lowest")
     p.add_argument("--seed", type=int, default=0)

@@ -53,7 +53,10 @@ def read_graph(source: Union[str, TextIO]) -> tuple[GraphLike, Optional[Labellin
     if isinstance(source, str):
         with open(source, "r", encoding="ascii") as fh:
             return read_graph(fh)
-    lines = [ln.strip() for ln in source if ln.strip()]
+    try:
+        lines = [ln.strip() for ln in source if ln.strip()]
+    except UnicodeDecodeError:
+        raise InvalidParameterError("graph file is not ASCII text") from None
     if not lines:
         raise InvalidParameterError("empty graph file")
     head = lines[0].split()
@@ -63,6 +66,10 @@ def read_graph(source: Union[str, TextIO]) -> tuple[GraphLike, Optional[Labellin
         n, m, d = int(head[0]), int(head[1]), int(head[2])
     except ValueError:
         raise InvalidParameterError(f"bad header {lines[0]!r}") from None
+    if n < 1 or d < 0 or 2 * m != n * d:
+        raise InvalidParameterError(
+            f"bad header {lines[0]!r}: need n >= 1, d >= 0 and m = n*d/2"
+        )
     directed = head[3] == "D"
     if len(lines) < 1 + m:
         raise InvalidParameterError(f"expected {m} edge lines, found {len(lines) - 1}")
@@ -87,7 +94,10 @@ def read_graph(source: Union[str, TextIO]) -> tuple[GraphLike, Optional[Labellin
             parts = ln.split()
             if len(parts) != 2:
                 raise InvalidParameterError(f"bad ID line {ln!r}")
-            v, vid = int(parts[0]), int(parts[1])
+            try:
+                v, vid = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise InvalidParameterError(f"bad ID line {ln!r}") from None
             if not 0 <= v < n or assigned[v]:
                 raise InvalidParameterError(f"bad or repeated vertex in ID line {ln!r}")
             ids[v] = vid
@@ -95,8 +105,6 @@ def read_graph(source: Union[str, TextIO]) -> tuple[GraphLike, Optional[Labellin
         lab = Labelling(ids)
 
     graph = RegularGraph.from_edges(n, pairs, d=d)
-    if graph.m != m:
-        raise InvalidParameterError(f"header claims m={m}, file has {graph.m} edges")
     if directed:
         return Orientation(graph, pairs), lab
     return graph, lab

@@ -1,11 +1,19 @@
 """Brute-force ground truth: exact MaxCut / MaxDiCut and adversarial IDs.
 
-The exact solvers enumerate all 2^n side assignments with numpy over chunks
-of masks, so they are usable up to the documented budgets (n <= 30 for
-MaxCut with a bipartite shortcut, n <= 24 for MaxDiCut) but no further.
-They are deliberately independent of the algorithm implementations they
-certify: nothing here calls median_cut or friends except through the
-caller-supplied callable in the labelling search.
+All three exact solvers share one meet-in-the-middle kernel (the two-way
+form of R. Williams, "A new algorithm for optimal 2-constraint satisfaction
+and its implications", TCS 2005). The vertices split into a low half L
+(0..k-1, k = n // 2) and a high half H; a mask is `h << k | l`, bit v set
+meaning v is on the LEFT. The dicut size of a mask is the quadratic form
+x.out - x Q x^T over the arc matrix Q, which separates into a score of l, a
+score of h and a cross term bits(h) W bits(l)^T. So each block of H rows
+costs one float32 matrix product; every entry is a small integer, so the
+float arithmetic is exact. MaxCut is the MaxDiCut of both arcs of every
+edge. The budgets (n <= 24 for MaxDiCut, n <= 30 for MaxCut, which also
+has a bipartite shortcut, n <= 16 for listing every optimum) bound the
+2^n work. The solvers are deliberately independent of the algorithm
+implementations they certify: nothing here calls median_cut or friends
+except through the caller-supplied callable in the labelling search.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -29,12 +37,54 @@ from .graphs import (
     is_bipartite,
 )
 
-_CHUNK_BITS = 20
+# Cells per score block: 2^20 float32 values, about 4 MB.
+_BLOCK_CELLS = 1 << 20
 
 
 def _mask_to_cut(mask: int, n: int) -> Cut:
     # bit v set <=> v on the LEFT
     return Cut([LEFT if (mask >> v) & 1 else RIGHT for v in range(n)])
+
+
+def _bits(width: int, rows: int) -> np.ndarray:
+    """Row r holds bit v of r in column v, for r < rows."""
+    return ((np.arange(rows)[:, None] >> np.arange(width)) & 1).astype(np.float32)
+
+
+def _dicut_blocks(n: int, arcs, masks: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Dicut sizes of masks 0..masks-1 in ascending blocks.
+
+    Yields (first, scores) where scores[i, j] is the size of mask
+    first + i * 2^k + j, so a row-major scan of the blocks visits the masks
+    in ascending order. `masks` is 2^n, or 2^(n-1) to pin vertex n-1 RIGHT.
+    """
+    k = n // 2
+    arcs = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+    q = np.zeros((n, n), dtype=np.float32)
+    np.add.at(q, (arcs[:, 0], arcs[:, 1]), 1)
+    out = np.bincount(arcs[:, 0], minlength=n).astype(np.float32)
+    rows = masks >> k
+    bl, bh = _bits(k, 1 << k), _bits(n - k, rows)
+    lo = bl @ out[:k] - ((bl @ q[:k, :k]) * bl).sum(axis=1)
+    hi = bh @ out[k:] - ((bh @ q[k:, k:]) * bh).sum(axis=1)
+    cross = q[k:, :k] + q[:k, k:].T
+    # scores = [bits(h) | hi | 1] @ [-cross bits(l)^T ; 1 ; lo]
+    h_mat = np.hstack([bh, hi[:, None], np.ones((rows, 1), dtype=np.float32)])
+    l_mat = np.vstack([-(cross @ bl.T), np.ones((1, 1 << k), dtype=np.float32),
+                       lo[None, :]])
+    step = max(1, _BLOCK_CELLS >> k)
+    for r in range(0, rows, step):
+        yield r << k, h_mat[r:r + step] @ l_mat
+
+
+def _best_dicut(n: int, arcs, masks: int) -> tuple[int, Cut]:
+    """Largest score with its lowest mask; a later block wins only if strictly larger."""
+    best, best_mask = -1, 0
+    for first, scores in _dicut_blocks(n, arcs, masks):
+        i = int(np.argmax(scores))
+        if scores.flat[i] > best:
+            best, best_mask = int(scores.flat[i]), first + i
+    return best, _mask_to_cut(best_mask, n)
 
 
 def max_cut_exact(g: RegularGraph, budget: int = 30) -> tuple[int, Cut]:
@@ -51,28 +101,8 @@ def max_cut_exact(g: RegularGraph, budget: int = 30) -> tuple[int, Cut]:
         raise BudgetError(
             f"exact MaxCut enumerates 2^(n-1) cuts; n={g.n} exceeds budget {budget}"
         )
-    if g.n == 0:
-        return 0, Cut([])
-    best_size, best_mask = -1, 0
-    total = 1 << (g.n - 1)
-    for lo in range(0, total, 1 << _CHUNK_BITS):
-        hi = min(lo + (1 << _CHUNK_BITS), total)
-        masks = np.arange(lo, hi, dtype=np.int64)
-        acc = np.zeros(hi - lo, dtype=np.uint16)
-        for u, v in g.edges():
-            acc += (((masks >> u) ^ (masks >> v)) & 1).astype(np.uint16)
-        i = int(np.argmax(acc))
-        if int(acc[i]) > best_size:
-            best_size, best_mask = int(acc[i]), lo + i
-    return best_size, _mask_to_cut(best_mask, g.n)
-
-
-def _dicut_sizes_chunk(o: Orientation, lo: int, hi: int) -> np.ndarray:
-    masks = np.arange(lo, hi, dtype=np.int64)
-    acc = np.zeros(hi - lo, dtype=np.uint16)
-    for t, h in o.arcs:
-        acc += (((masks >> t) & ~(masks >> h)) & 1).astype(np.uint16)
-    return acc
+    both = list(g.edges()) + [(v, u) for u, v in g.edges()]
+    return _best_dicut(g.n, both, 1 << (g.n - 1))
 
 
 def max_dicut_exact(o: Orientation, budget: int = 24) -> tuple[int, Cut]:
@@ -82,29 +112,19 @@ def max_dicut_exact(o: Orientation, budget: int = 24) -> tuple[int, Cut]:
         raise BudgetError(
             f"exact MaxDiCut enumerates 2^n cuts; n={n} exceeds budget {budget}"
         )
-    if n == 0:
-        return 0, Cut([])
-    best_size, best_mask = -1, 0
-    for lo in range(0, 1 << n, 1 << _CHUNK_BITS):
-        hi = min(lo + (1 << _CHUNK_BITS), 1 << n)
-        acc = _dicut_sizes_chunk(o, lo, hi)
-        i = int(np.argmax(acc))
-        if int(acc[i]) > best_size:
-            best_size, best_mask = int(acc[i]), lo + i
-    return best_size, _mask_to_cut(best_mask, n)
+    return _best_dicut(n, o.arcs, 1 << n)
 
 
 def enumerate_max_dicuts(o: Orientation, budget: int = 16) -> tuple[int, list[Cut]]:
-    """All optimal directed cuts (ties included); budget keeps n small."""
+    """All optimal directed cuts (ties included), in ascending mask order."""
     n = o.graph.n
     if n > budget:
         raise BudgetError(
             f"witness enumeration wants n <= {budget}, got {n}"
         )
-    acc = _dicut_sizes_chunk(o, 0, 1 << n)
-    best = int(acc.max())
-    masks = np.nonzero(acc == best)[0]
-    return best, [_mask_to_cut(int(m), n) for m in masks]
+    scores = np.concatenate([s.ravel() for _, s in _dicut_blocks(n, o.arcs, 1 << n)])
+    best = scores.max()
+    return int(best), [_mask_to_cut(int(m), n) for m in np.flatnonzero(scores == best)]
 
 
 def adversarial_labelling_search(

@@ -241,9 +241,12 @@ def verify_flip_monotonicity(seed: int = 0, cases: int = 1000,
     return _report("flip-monotonicity", cases, violations, started)
 
 
-def verify_constructions(max_n: int = 40) -> dict:
+def verify_constructions(seed: int = 0, max_n: int = 40) -> dict:
     """Regularity and bipartiteness across the circulant families, plus
-    the frozen oracle values for C_12^4 and the clockwise D_12^3."""
+    the frozen oracle values for C_12^4 and the clockwise D_12^3.
+
+    `seed` keeps the signature uniform across suites; the corpus is fixed.
+    """
     started = time.monotonic()
     violations: list[str] = []
     cases = 0
@@ -275,8 +278,11 @@ def verify_constructions(max_n: int = 40) -> dict:
     return _report("constructions", cases, violations, started)
 
 
-def verify_claim1(max_k: int = 5, max_n: int = 4) -> dict:
-    """log*(twr_k(n)) = k - 1 + log*(n) wherever the tower is representable."""
+def verify_claim1(seed: int = 0, max_k: int = 5, max_n: int = 4) -> dict:
+    """log*(twr_k(n)) = k - 1 + log*(n) wherever the tower is representable.
+
+    `seed` keeps the signature uniform across suites; the corpus is fixed.
+    """
     started = time.monotonic()
     violations: list[str] = []
     cases = 0
@@ -296,9 +302,12 @@ def verify_claim1(max_k: int = 5, max_n: int = 4) -> dict:
     return _report("claim1", cases, violations, started, skipped=skipped)
 
 
-def verify_claim2(degrees: tuple[int, ...] = (4, 6), max_n: int = 60,
-                  max_r: int = 25) -> dict:
-    """Inner-window edge counts beat l*d/2 - d(r-1)/2 - d^2/2 on all grids."""
+def verify_claim2(seed: int = 0, degrees: tuple[int, ...] = (4, 6),
+                  max_n: int = 60, max_r: int = 25) -> dict:
+    """Inner-window edge counts beat l*d/2 - d(r-1)/2 - d^2/2 on all grids.
+
+    `seed` keeps the signature uniform across suites; the corpus is fixed.
+    """
     started = time.monotonic()
     violations: list[str] = []
     cases = 0

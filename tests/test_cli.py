@@ -1,9 +1,11 @@
 """End-to-end CLI checks through main(argv); no subprocesses needed."""
 
+import functools
 import json
 
 import pytest
 
+from localcut import verify as verify_mod
 from localcut.cli import main
 
 
@@ -191,6 +193,22 @@ def test_verify_suite_passes(capsys):
     assert rec["violations"] == 0
 
 
+def test_verify_passes_seed_to_wrapped_suite(monkeypatch, capsys):
+    seen = []
+    suite = verify_mod.SUITES["claim1"]
+
+    @functools.wraps(suite)
+    def wrapped(*args, **kwargs):
+        seen.append(kwargs.get("seed"))
+        return suite(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "SUITES", {"claim1": wrapped})
+    assert main(["verify", "--suite", "claim1", "--seed", "5"]) == 0
+    assert main(["verify", "--suite", "all", "--seed", "6"]) == 0
+    capsys.readouterr()
+    assert seen == [5, 6]
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "no-such-suite"])
@@ -246,3 +264,20 @@ def test_oracle_over_budget_is_exit_3(tmp_path, capsys):
 
 def test_missing_graph_file_is_exit_2(capsys):
     assert main(["oracle", "--graph", "/definitely/not/here.txt"]) == 2
+
+
+def test_oracle_rejects_negative_header(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("-1 0 3 U\n")
+    assert main(["oracle", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad header")
+
+
+@pytest.mark.parametrize("flag", ["--rounds", "--flips"])
+def test_run_rejects_negative_counts(tmp_path, capsys, flag):
+    path = gen(tmp_path, "g.txt", "--family", "cnd", "--n", "8", "--d", "2")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--algo", "dflip", "--graph", path, flag, "-3"])
+    assert err.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err

@@ -105,6 +105,25 @@ def test_malformed_input_rejected(text):
         read_graph(io.StringIO(text))
 
 
+def test_non_integer_id_line_rejected():
+    text = "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 x\n1 2\n2 3\n3 4\n"
+    with pytest.raises(InvalidParameterError, match="bad ID line"):
+        read_graph(io.StringIO(text))
+
+
+def test_non_ascii_file_rejected(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes("4 4 2 U\n0 1\n1 2\n2 3\n3 0 \u00e9\n".encode("utf-8"))
+    with pytest.raises(InvalidParameterError, match="not ASCII"):
+        read_graph(str(path))
+
+
+@pytest.mark.parametrize("header", ["-1 0 3 U", "0 0 0 U", "4 4 -2 U"])
+def test_inconsistent_header_rejected(header):
+    with pytest.raises(InvalidParameterError, match="bad header"):
+        read_graph(io.StringIO(header + "\n"))
+
+
 def test_directed_file_with_both_arc_directions_rejected():
     text = "4 4 2 D\n0 1\n1 0\n2 3\n3 0\n"
     with pytest.raises(InvalidParameterError):

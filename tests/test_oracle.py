@@ -1,7 +1,9 @@
 """Brute-force oracles against slow reference enumeration, plus the search."""
 
 import itertools
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,22 +11,27 @@ from localcut import (
     BudgetError,
     Cut,
     InvalidParameterError,
+    LEFT,
     Orientation,
+    RIGHT,
     RegularGraph,
     adversarial_labelling_search,
     complete_graph,
     cut_size,
     dicut_size,
     enumerate_max_dicuts,
+    is_bipartite,
     make_circulant,
     make_double_circulant,
     make_random_orientation,
+    make_random_regular,
     max_cut_exact,
     max_dicut_exact,
     median_cut,
     orient_clockwise,
     oriented_median_cut,
 )
+from localcut import oracle
 
 from conftest import oriented_graphs, small_regular_graphs
 
@@ -43,6 +50,69 @@ def reference_max_dicut(o) -> int:
     for bits in itertools.product((0, 1), repeat=o.graph.n):
         best = max(best, dicut_size(o, Cut(bits)))
     return best
+
+
+# Slow reference: one numpy pass over every mask per arc (or edge). Masks
+# ascend, and np.argmax takes the first maximum, so the witness is the
+# optimal cut of lowest mask (bit v set <=> v on the LEFT).
+
+def per_arc_dicut_sizes(o) -> np.ndarray:
+    masks = np.arange(1 << o.graph.n, dtype=np.int64)
+    acc = np.zeros(masks.size, dtype=np.uint16)
+    for t, h in o.arcs:
+        acc += (((masks >> t) & ~(masks >> h)) & 1).astype(np.uint16)
+    return acc
+
+
+def per_edge_cut_sizes(g) -> np.ndarray:
+    masks = np.arange(1 << (g.n - 1), dtype=np.int64)  # vertex n-1 RIGHT
+    acc = np.zeros(masks.size, dtype=np.uint16)
+    for u, v in g.edges():
+        acc += (((masks >> u) ^ (masks >> v)) & 1).astype(np.uint16)
+    return acc
+
+
+def mask_cut(mask, n) -> Cut:
+    return Cut([LEFT if (int(mask) >> v) & 1 else RIGHT for v in range(n)])
+
+
+@st.composite
+def orientations_up_to_16(draw):
+    """Random orientations with 1 <= n <= 16, odd n (even d) included."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    d = draw(st.sampled_from([d for d in range(min(n, 8)) if n * d % 2 == 0]))
+    g = make_random_regular(n, d, seed=draw(seeds))
+    return make_random_orientation(g, seed=draw(seeds))
+
+
+@pytest.mark.parametrize("block_cells", [oracle._BLOCK_CELLS, 8])
+@given(orientations_up_to_16())
+@settings(max_examples=60)
+def test_kernel_matches_per_arc_reference(block_cells, o):
+    # block_cells=8 splits every instance into many one- or few-row blocks,
+    # so the strict-greater rule across blocks decides the witness.
+    n = o.graph.n
+    acc = per_arc_dicut_sizes(o)
+    best = int(acc.max())
+    with mock.patch.object(oracle, "_BLOCK_CELLS", block_cells):
+        assert max_dicut_exact(o) == (best, mask_cut(np.argmax(acc), n))
+        assert enumerate_max_dicuts(o) == (
+            best, [mask_cut(m, n) for m in np.flatnonzero(acc == best)])
+        if not is_bipartite(o.graph)[0]:
+            acc = per_edge_cut_sizes(o.graph)
+            assert max_cut_exact(o.graph) == (int(acc.max()),
+                                              mask_cut(np.argmax(acc), n))
+
+
+@pytest.mark.parametrize("block_cells", [oracle._BLOCK_CELLS, 8])
+def test_max_cut_non_bipartite_witness(block_cells):
+    g = make_random_regular(15, 4, seed=3)  # odd n: never bipartite
+    acc = per_edge_cut_sizes(g)
+    with mock.patch.object(oracle, "_BLOCK_CELLS", block_cells):
+        size, witness = max_cut_exact(g)
+    assert (size, witness) == (int(acc.max()), mask_cut(np.argmax(acc), g.n))
+    assert cut_size(g, witness) == size
+    assert witness.sides[-1] == RIGHT
 
 
 # --- exact MaxCut ---------------------------------------------------------
