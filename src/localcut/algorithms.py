@@ -4,6 +4,9 @@ Side convention: a vertex whose median neighbor ID exceeds its own goes
 LEFT, and LEFT is the tail side of a directed cut. Under the low-to-high ID
 orientation the left side is exactly the positive-deficit side, which is why
 the median rule and the deficit rule agree.
+
+Each rule is one numpy expression over the (n, d) adjacency; stability,
+FLIP and maximality share one per-vertex count, `same_side_counts`.
 """
 
 from __future__ import annotations
@@ -11,8 +14,11 @@ from __future__ import annotations
 import random
 from typing import Callable, Union
 
+import numpy as np
+
 from .errors import InvalidParameterError, UnsupportedDegreeError
-from .graphs import Cut, LEFT, Labelling, Orientation, RIGHT, RegularGraph
+from .graphs import (Cut, LEFT, Labelling, Orientation, RIGHT, RegularGraph,
+                     coin_flips, dicut_size, same_side_counts)
 
 
 def median_cut(g: RegularGraph, lab: Labelling) -> Cut:
@@ -24,13 +30,9 @@ def median_cut(g: RegularGraph, lab: Labelling) -> Cut:
         raise UnsupportedDegreeError(f"median rule needs odd degree, got d={g.d}")
     if lab.n != g.n:
         raise InvalidParameterError("labelling size does not match graph")
-    ids = lab.ids
-    mid = g.d // 2
-    sides = []
-    for v in range(g.n):
-        median = sorted(ids[u] for u in g.adj[v])[mid]
-        sides.append(LEFT if median > ids[v] else RIGHT)
-    return Cut(sides)
+    ids = lab.id_array()
+    median = np.sort(ids[g.adj], axis=1)[:, g.d // 2]
+    return Cut(np.where(median > ids, LEFT, RIGHT))
 
 
 def oriented_median_cut(o: Orientation) -> Cut:
@@ -38,24 +40,18 @@ def oriented_median_cut(o: Orientation) -> Cut:
 
     pre: no vertex has deficit 0 (guaranteed when d is odd).
     """
-    sides = []
-    for v in range(o.graph.n):
-        delta = o.deficit(v)
-        if delta == 0:
-            raise InvalidParameterError(
-                f"vertex {v} has deficit 0; the deficit rule needs odd degrees"
-            )
-        sides.append(LEFT if delta > 0 else RIGHT)
-    return Cut(sides)
+    delta = 2 * o.out_degrees - o.graph.d
+    zero = np.flatnonzero(delta == 0)
+    if zero.size:
+        raise InvalidParameterError(
+            f"vertex {zero[0]} has deficit 0; the deficit rule needs odd degrees"
+        )
+    return Cut(np.where(delta > 0, LEFT, RIGHT))
 
 
 def stable_vertices(g: RegularGraph, c: Cut) -> frozenset[int]:
     """Vertices with at least one neighbor on the other side (undirected)."""
-    sides = c.sides
-    return frozenset(
-        v for v in range(g.n)
-        if any(sides[u] != sides[v] for u in g.adj[v])
-    )
+    return frozenset(np.flatnonzero(same_side_counts(g, c) < g.d).tolist())
 
 
 def unstable_flip_step(o: Orientation, c: Cut) -> Cut:
@@ -64,11 +60,7 @@ def unstable_flip_step(o: Orientation, c: Cut) -> Cut:
     Stability only looks at the underlying graph; the orientation is carried
     so callers can chain dicut measurements.
     """
-    g = o.graph
-    stable = stable_vertices(g, c)
-    return Cut([
-        s if v in stable else 1 - s for v, s in enumerate(c.sides)
-    ])
+    return Cut(c.sides ^ (same_side_counts(o.graph, c) == o.graph.d))
 
 
 def oriented_median_plus_flips(o: Orientation, flips: int) -> tuple[Cut, tuple[int, ...]]:
@@ -77,8 +69,6 @@ def oriented_median_plus_flips(o: Orientation, flips: int) -> tuple[Cut, tuple[i
     Returns the final cut and the dicut sizes (CUT_0, ..., CUT_flips).
     The sequence never decreases: flipped arcs never leave the cut.
     """
-    from .graphs import dicut_size
-
     if flips < 0:
         raise InvalidParameterError("flips must be >= 0")
     c = oriented_median_cut(o)
@@ -91,22 +81,12 @@ def oriented_median_plus_flips(o: Orientation, flips: int) -> tuple[Cut, tuple[i
 
 def distributed_flip_step(g: RegularGraph, c: Cut) -> Cut:
     """One synchronous round of FLIP: strict same-side majority flips."""
-    sides = c.sides
-    new = []
-    for v in range(g.n):
-        same = sum(1 for u in g.adj[v] if sides[u] == sides[v])
-        new.append(1 - sides[v] if 2 * same > g.d else sides[v])
-    return Cut(new)
+    return Cut(c.sides ^ (2 * same_side_counts(g, c) > g.d))
 
 
 def is_maximal_cut(g: RegularGraph, c: Cut) -> bool:
     """No single vertex flip can grow the cut."""
-    sides = c.sides
-    for v in range(g.n):
-        same = sum(1 for u in g.adj[v] if sides[u] == sides[v])
-        if 2 * same > len(g.adj[v]):
-            return False
-    return True
+    return not np.any(2 * same_side_counts(g, c) > g.d)
 
 
 def sequential_flip_to_maximal(g: RegularGraph, c: Cut,
@@ -126,14 +106,14 @@ def sequential_flip_to_maximal(g: RegularGraph, c: Cut,
         pick = order
     else:
         raise InvalidParameterError(f"unknown order policy {order!r}")
-    sides = list(c.sides)
-    if None in sides or len(sides) != g.n:
-        raise InvalidParameterError("cut must be total")
+    if c.n != g.n:
+        raise InvalidParameterError(f"cut covers {c.n} vertices, graph has {g.n}")
+    adj, sides = g.adj.tolist(), c.sides.tolist()
     flips = 0
     while True:
         candidates = [
             v for v in range(g.n)
-            if 2 * sum(1 for u in g.adj[v] if sides[u] == sides[v]) > g.d
+            if 2 * sum(1 for u in adj[v] if sides[u] == sides[v]) > g.d
         ]
         if not candidates:
             break
@@ -147,5 +127,4 @@ def sequential_flip_to_maximal(g: RegularGraph, c: Cut,
 
 def random_cut(g: RegularGraph, seed: int) -> Cut:
     """Fair coin per vertex."""
-    rng = random.Random(seed)
-    return Cut([rng.getrandbits(1) for _ in range(g.n)])
+    return Cut(coin_flips(random.Random(seed), g.n))

@@ -18,6 +18,7 @@ from .graphs import (
     LEFT,
     Orientation,
     RegularGraph,
+    boundary_size,
     dicut_size,
 )
 
@@ -138,14 +139,14 @@ def decompose(o: Orientation, opt_cut: Cut) -> FlipDecomposition:
                 return True
         return (u in m_plus and v in m_plus) or (u in m_minus and v in m_minus)
 
-    E0 = frozenset(e for e in g.edges() if in_e0(*e))
+    E0 = frozenset((u, v) for u, v in g.edges().tolist() if in_e0(u, v))
     E1 = frozenset(
-        (t, h) for t, h in o.arcs
+        (t, h) for t, h in o.arcs.tolist()
         if (t in plus and h in plus and t not in U0 and h in U0)
         or (t not in plus and h not in plus and t in U0 and h not in U0)
     )
     F0 = frozenset(
-        (u, v) for u, v in g.edges()
+        (u, v) for u, v in g.edges().tolist()
         if u not in M and v not in M and (u in plus) == (v in plus)
     )
     touched = {v for e in E0 for v in e} | {v for a in E1 for v in a}
@@ -272,7 +273,7 @@ def window_edge_count(g: RegularGraph, start: int, length: int) -> int:
     if not 0 <= length <= n:
         raise InvalidParameterError(f"window length must be in [0, {n}]")
     window = {(start + i) % n for i in range(length)}
-    return sum(1 for u, v in g.edges() if u in window and v in window)
+    return (g.d * length - boundary_size(g, window)) // 2  # inside edges have 2 ends in it
 
 
 def window_bound(d: int, length: int, r: int) -> Fraction:

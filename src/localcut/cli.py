@@ -82,6 +82,8 @@ def _floor_fields(record: dict, name: str, value: Fraction, achieved: int) -> No
 
 
 def cmd_gen(args) -> int:
+    if args.ids != "none" and args.family != "dnd":
+        raise InvalidParameterError(f"--ids {args.ids} applies to --family dnd only")
     lab = None
     if args.family == "cnd":
         obj = make_circulant(args.n, args.d)
@@ -262,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oriented", action="store_true",
                    help="emit the clockwise/random orientation")
-    p.add_argument("--ids", choices=["none", "identity", "extremal"], default="none")
+    p.add_argument("--ids", choices=["none", "identity", "extremal"], default="none",
+                   help="write an IDS section (dnd only)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen)
 

@@ -15,6 +15,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     CongestionError,
     InvalidParameterError,
@@ -77,32 +79,29 @@ def run(program: NodeProgram, g: RegularGraph, lab: Labelling,
         raise InvalidParameterError("labelling size does not match graph")
     if max_rounds is None:
         max_rounds = 4 * g.n
-    # port p of u leads to v = adj[u][p]; deliveries land on the back port
-    back_port = [
-        [g.adj[v].index(u) for v in g.adj[u]] for u in range(g.n)
-    ]
-
-    states = [program.init(lab.ids[v], g.d, len(g.adj[v])) for v in range(g.n)]
-    outputs: list[Optional[int]] = [None] * g.n
-    pending: list[list[Optional[str]]] = [[None] * len(g.adj[v]) for v in range(g.n)]
-    total_bits = 0
+    n, d = g.n, g.d
+    # Slot u*d + p is port p of u, which leads to v = adj[u, p]. Its message
+    # lands in slot v*d + q with adj[v, q] = u: the rank of key v*n + u.
+    rows = np.repeat(np.arange(n, dtype=np.int64), d)
+    deliver = np.searchsorted(rows * n + g.adj.ravel(), g.adj.ravel() * n + rows).tolist()
+    states = [program.init(own_id, d, d) for own_id in lab.ids]
+    outputs: list[Optional[int]] = [None] * n
+    inbox: list[Optional[str]] = [None] * (n * d)
     max_bits = 0
     bits_per_round: list[int] = []
     round_index = 0
-
-    def step_all(inboxes) -> None:
-        nonlocal total_bits, max_bits
+    while True:
+        outbox: list[Optional[str]] = [None] * (n * d)
         round_bits = 0
-        for v in range(g.n):
+        for v in range(n):
             if outputs[v] is not None:
-                pending[v] = [None] * len(g.adj[v])
                 continue
-            state, outbound, out = program.step(states[v], round_index, tuple(inboxes[v]))
+            state, outbound, out = program.step(
+                states[v], round_index, tuple(inbox[v * d:(v + 1) * d]))
             outbound = list(outbound)
-            if len(outbound) != len(g.adj[v]):
+            if len(outbound) != d:
                 raise InvalidParameterError(
-                    f"node {v} produced {len(outbound)} messages for "
-                    f"{len(g.adj[v])} ports"
+                    f"node {v} produced {len(outbound)} messages for {d} ports"
                 )
             for port, msg in enumerate(outbound):
                 if msg is None:
@@ -112,44 +111,35 @@ def run(program: NodeProgram, g: RegularGraph, lab: Labelling,
                 round_bits += len(msg)
                 max_bits = max(max_bits, len(msg))
             states[v] = state
-            pending[v] = outbound
+            outbox[v * d:(v + 1) * d] = outbound
             if out is not None:
                 if out not in (LEFT, RIGHT):
                     raise InvalidParameterError(
                         f"node {v} output {out!r}, expected a side"
                     )
                 outputs[v] = out
-        total_bits += round_bits
         bits_per_round.append(round_bits)
-
-    step_all([[None] * len(g.adj[v]) for v in range(g.n)])
-    while any(out is None for out in outputs):
+        if all(out is not None for out in outputs):
+            break
         if round_index >= max_rounds:
             raise NonTerminationError(
                 f"{sum(1 for o in outputs if o is None)} nodes still running "
                 f"after {max_rounds} rounds"
             )
-        inboxes: list[list[Optional[str]]] = [
-            [None] * len(g.adj[v]) for v in range(g.n)
-        ]
-        delivered = False
-        for u in range(g.n):
-            for port, msg in enumerate(pending[u]):
-                if msg is not None:
-                    inboxes[g.adj[u][port]][back_port[u][port]] = msg
-                    delivered = True
-            pending[u] = [None] * len(g.adj[u])
-        if not delivered:
+        inbox = [None] * (n * d)
+        for slot, msg in enumerate(outbox):
+            if msg is not None:
+                inbox[deliver[slot]] = msg
+        if outbox.count(None) == n * d:
             raise NonTerminationError(
                 "nodes are waiting but no messages are in flight"
             )
         round_index += 1
-        step_all(inboxes)
 
     trace = RoundTrace(
         rounds_used=round_index,
         max_message_bits=max_bits,
-        total_bits=total_bits,
+        total_bits=sum(bits_per_round),
         bits_per_round=tuple(bits_per_round),
     )
     return Cut(outputs), trace
@@ -239,7 +229,8 @@ class FlipProgram(NodeProgram):
         side = self.initial_side(own_id)
         if side not in (LEFT, RIGHT):
             raise InvalidParameterError("initial_side must return a side")
-        return {"side": side}
+        # plain int, so per-node arithmetic stays on Python ints
+        return {"side": int(side)}
 
     def step(self, state, round_index, inbound):
         ports = len(inbound)

@@ -15,13 +15,34 @@ import random
 from collections import deque
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .errors import (
     BudgetError,
     ConstructionError,
     InvalidParameterError,
     SearchNotFoundError,
 )
-from .graphs import Labelling, Orientation, RegularGraph
+from .graphs import Labelling, Orientation, RegularGraph, coin_flips
+
+
+def _circulant_arcs(n: int, d: int) -> list[tuple[int, int]]:
+    """Arcs i -> i+k (mod n) for every odd jump k < d."""
+    return [(i, (i + k) % n) for k in range(1, d, 2) for i in range(n)]
+
+
+def _double_circulant_arcs(n: int, d: int) -> list[tuple[int, int]]:
+    """Clockwise arcs of both (d-1)-jump copies, then the matching outer -> inner."""
+    arcs = []
+    for k in range(1, d - 1, 2):
+        for i in range(n):
+            arcs.append((i, (i + k) % n))
+            arcs.append((n + i, n + (i + k) % n))
+    arcs.extend((i, n + i) for i in range(n))
+    return arcs
+
+
+_CLOCKWISE_ARCS = {"circulant": _circulant_arcs, "double_circulant": _double_circulant_arcs}
 
 
 def make_circulant(n: int, d: int) -> RegularGraph:
@@ -34,13 +55,8 @@ def make_circulant(n: int, d: int) -> RegularGraph:
         raise InvalidParameterError(f"d must be even >= 2, got {d}")
     if n % 2 or n < 2 * d:
         raise InvalidParameterError(f"n must be even >= 2d, got n={n}, d={d}")
-    edges = [
-        (i, (i + k) % n)
-        for k in range(1, d, 2)
-        for i in range(n)
-    ]
     return RegularGraph.from_edges(
-        n, edges, d=d, family="circulant", family_params=(n, d)
+        n, _circulant_arcs(n, d), d=d, family="circulant", family_params=(n, d)
     )
 
 
@@ -56,14 +72,9 @@ def make_double_circulant(n: int, d: int) -> RegularGraph:
         raise InvalidParameterError(
             f"n must be even >= 2(d-1), got n={n}, d={d}"
         )
-    edges = []
-    for k in range(1, d - 1, 2):
-        for i in range(n):
-            edges.append((i, (i + k) % n))
-            edges.append((n + i, n + (i + k) % n))
-    edges.extend((i, n + i) for i in range(n))
     return RegularGraph.from_edges(
-        2 * n, edges, d=d, family="double_circulant", family_params=(n, d)
+        2 * n, _double_circulant_arcs(n, d), d=d, family="double_circulant",
+        family_params=(n, d)
     )
 
 
@@ -73,26 +84,11 @@ def orient_clockwise(g: RegularGraph) -> Orientation:
     For the double circulant the matching is oriented outer -> inner, so
     every outer vertex gets deficit +1 and every inner vertex -1.
     """
-    if g.family == "circulant":
-        n, d = g.family_params
-        arcs = [
-            (i, (i + k) % n)
-            for k in range(1, d, 2)
-            for i in range(n)
-        ]
-    elif g.family == "double_circulant":
-        n, d = g.family_params
-        arcs = []
-        for k in range(1, d - 1, 2):
-            for i in range(n):
-                arcs.append((i, (i + k) % n))
-                arcs.append((n + i, n + (i + k) % n))
-        arcs.extend((i, n + i) for i in range(n))
-    else:
+    if g.family not in _CLOCKWISE_ARCS:
         raise InvalidParameterError(
             "clockwise orientation needs a circulant or double_circulant graph"
         )
-    return Orientation(g, arcs)
+    return Orientation(g, _CLOCKWISE_ARCS[g.family](*g.family_params))
 
 
 def complete_graph(n: int) -> RegularGraph:
@@ -150,7 +146,7 @@ def make_random_regular(n: int, d: int, seed: int, max_restarts: int = 1000) -> 
     for _ in range(max_restarts):
         edges = _pairing_attempt(n, d, rng)
         if edges is not None:
-            return RegularGraph.from_edges(n, edges, d=d)
+            return RegularGraph.from_edges(n, np.array(list(edges)), d=d)
     raise ConstructionError(
         f"pairing model found no simple graph in {max_restarts} restarts "
         f"(n={n}, d={d}, seed={seed})"
@@ -161,19 +157,16 @@ def make_id_orientation(g: RegularGraph, lab: Labelling) -> Orientation:
     """Orient every edge from the lower ID to the higher ID."""
     if lab.n != g.n:
         raise InvalidParameterError("labelling size does not match graph")
-    ids = lab.ids
-    return Orientation(
-        g, ((u, v) if ids[u] < ids[v] else (v, u) for u, v in g.edges())
-    )
+    ids, e = lab.id_array(), g.edges()
+    forward = ids[e[:, 0]] < ids[e[:, 1]]
+    return Orientation(g, np.where(forward[:, None], e, e[:, ::-1]))
 
 
 def make_random_orientation(g: RegularGraph, seed: int) -> Orientation:
-    """Fair coin per edge."""
-    rng = random.Random(seed)
-    return Orientation(
-        g,
-        ((u, v) if rng.getrandbits(1) else (v, u) for u, v in g.edges()),
-    )
+    """Fair coin per edge (u, v) in edges() order: 1 keeps u -> v."""
+    e = g.edges()
+    forward = coin_flips(random.Random(seed), g.m) == 1
+    return Orientation(g, np.where(forward[:, None], e, e[:, ::-1]))
 
 
 def _split_evenly(total: int, parts: int) -> list[int]:

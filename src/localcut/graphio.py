@@ -7,6 +7,7 @@ Format:
     IDS
     n lines: v id
 
+Every number is a plain run of ASCII digits ("+3" or "0_0" is rejected).
 Orientations round-trip as directed files; generator family metadata does
 not survive a round trip (the format carries structure only).
 """
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import io
 from typing import Optional, TextIO, Union
+
+import numpy as np
 
 from .errors import InvalidParameterError
 from .graphs import Labelling, Orientation, RegularGraph
@@ -30,16 +33,14 @@ def write_graph(target: Union[str, TextIO], obj: GraphLike,
         return
     directed = isinstance(obj, Orientation)
     g = obj.graph if directed else obj
-    lines = obj.arcs if directed else g.edges()
+    if lab is not None and lab.n != g.n:
+        raise InvalidParameterError("labelling size does not match graph")
+    pairs = obj.arcs if directed else g.edges()
     target.write(f"{g.n} {g.m} {g.d} {'D' if directed else 'U'}\n")
-    for u, v in lines:
-        target.write(f"{u} {v}\n")
+    target.write(("%d %d\n" * g.m) % tuple(pairs.ravel().tolist()))
     if lab is not None:
-        if lab.n != g.n:
-            raise InvalidParameterError("labelling size does not match graph")
-        target.write("IDS\n")
-        for v, vid in enumerate(lab.ids):
-            target.write(f"{v} {vid}\n")
+        flat = tuple(x for pair in enumerate(lab.ids) for x in pair)
+        target.write("IDS\n" + ("%d %d\n" * g.n) % flat)
 
 
 def graph_to_text(obj: GraphLike, lab: Optional[Labelling] = None) -> str:
@@ -48,60 +49,65 @@ def graph_to_text(obj: GraphLike, lab: Optional[Labelling] = None) -> str:
     return buf.getvalue()
 
 
+def _pair_tokens(lines: list[str], what: str) -> list[str]:
+    """The tokens of lines that each hold two plain non-negative integers.
+
+    Plain means digits only (the text is ASCII): Python's int() would also
+    take "+3" or "0_0". The first bad line is named in the error.
+    """
+    tokens = " ".join(lines).split()
+    # Once every token is digits, a line holds a single token iff it is all
+    # digits; with none such, 2 tokens per line overall means 2 on each.
+    if (len(tokens) != 2 * len(lines) or any(map(str.isdigit, lines))
+            or (tokens and not "".join(tokens).isdigit())):
+        bad = next(ln for ln in lines
+                   if len(ln.split()) != 2 or not all(map(str.isdigit, ln.split())))
+        raise InvalidParameterError(f"bad {what} line {bad!r}")
+    return tokens
+
+
 def read_graph(source: Union[str, TextIO]) -> tuple[GraphLike, Optional[Labelling]]:
     """Parse a graph file; malformed input raises InvalidParameterError."""
     if isinstance(source, str):
         with open(source, "r", encoding="ascii") as fh:
             return read_graph(fh)
     try:
-        lines = [ln.strip() for ln in source if ln.strip()]
+        text = source.read()
     except UnicodeDecodeError:
-        raise InvalidParameterError("graph file is not ASCII text") from None
+        text = None
+    if text is None or not text.isascii():
+        raise InvalidParameterError("graph file is not ASCII text")
+    lines = [ln for ln in (raw.strip() for raw in text.split("\n")) if ln]
     if not lines:
         raise InvalidParameterError("empty graph file")
     head = lines[0].split()
-    if len(head) != 4 or head[3] not in ("U", "D"):
+    if (len(head) != 4 or head[3] not in ("U", "D")
+            or not all(map(str.isdigit, head[:3]))):
         raise InvalidParameterError(f"bad header {lines[0]!r}")
-    try:
-        n, m, d = int(head[0]), int(head[1]), int(head[2])
-    except ValueError:
-        raise InvalidParameterError(f"bad header {lines[0]!r}") from None
-    if n < 1 or d < 0 or 2 * m != n * d:
+    n, m, d = (int(t) for t in head[:3])
+    if n < 1 or 2 * m != n * d:
         raise InvalidParameterError(
             f"bad header {lines[0]!r}: need n >= 1, d >= 0 and m = n*d/2"
         )
     directed = head[3] == "D"
     if len(lines) < 1 + m:
         raise InvalidParameterError(f"expected {m} edge lines, found {len(lines) - 1}")
-    pairs = []
-    for ln in lines[1:1 + m]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InvalidParameterError(f"bad edge line {ln!r}")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise InvalidParameterError(f"bad edge line {ln!r}") from None
+    try:
+        pairs = np.array(_pair_tokens(lines[1:1 + m], "edge"), dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise InvalidParameterError("an edge names a vertex beyond 64 bits") from None
 
     lab = None
     rest = lines[1 + m:]
     if rest:
         if rest[0] != "IDS" or len(rest) != 1 + n:
             raise InvalidParameterError("trailing content is not a valid IDS section")
-        ids = [0] * n
-        assigned = [False] * n
-        for ln in rest[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise InvalidParameterError(f"bad ID line {ln!r}")
-            try:
-                v, vid = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise InvalidParameterError(f"bad ID line {ln!r}") from None
-            if not 0 <= v < n or assigned[v]:
+        tokens = _pair_tokens(rest[1:], "ID")
+        ids: list[Optional[int]] = [None] * n
+        for ln, v, vid in zip(rest[1:], map(int, tokens[0::2]), tokens[1::2]):
+            if v >= n or ids[v] is not None:
                 raise InvalidParameterError(f"bad or repeated vertex in ID line {ln!r}")
-            ids[v] = vid
-            assigned[v] = True
+            ids[v] = int(vid)
         lab = Labelling(ids)
 
     graph = RegularGraph.from_edges(n, pairs, d=d)

@@ -1,8 +1,10 @@
 """Core types: regular graphs, orientations, labellings, cuts.
 
-Everything is immutable after construction. Vertices are 0..n-1 throughout;
-IDs (distinct positive integers used by the local algorithms) live in a
-separate Labelling so the same graph can carry many labellings.
+Every graph is d-regular, so it is one (n, d) int64 adjacency array with
+sorted rows; an orientation is an (m, 2) arc array, a cut an int8 side
+array. Immutable means these arrays are read-only after construction.
+Vertices are 0..n-1 throughout; IDs (distinct positive integers, kept as
+Python ints) live in a separate Labelling so a graph can carry many.
 """
 
 from __future__ import annotations
@@ -11,90 +13,122 @@ import random
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import InvalidParameterError
 
 LEFT = 0
 RIGHT = 1
 
 
-def validate_regular(adjacency, d: int) -> bool:
-    """True iff the adjacency structure is a simple d-regular graph.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Accepts a RegularGraph or raw per-vertex neighbor sequences, so it can
-    vet candidate structures before a RegularGraph exists.
+
+def _int_pairs(pairs, what: str) -> np.ndarray:
+    """A fresh (k, 2) int64 array from an array or an iterable of pairs."""
+    try:
+        a = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs),
+                     dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None or (a.size and (a.ndim != 2 or a.shape[1] != 2)):
+        raise InvalidParameterError(f"{what} must be pairs of vertices")
+    return a.reshape(-1, 2)
+
+
+def _adjacency_defect(adj: Optional[np.ndarray], d: Optional[int]) -> Optional[str]:
+    """Why an int64 adjacency with sorted rows is not simple d-regular, or None."""
+    if adj is None or adj.ndim != 2 or adj.shape[1] != (adj.shape[1] if d is None else d):
+        return "rows are not all d integers long"
+    n, d = adj.shape
+    if adj.size and (adj.min() < 0 or adj.max() >= n):
+        return "a neighbor is out of range"
+    if np.any(adj == np.arange(n)[:, None]):
+        return "a vertex is its own neighbor"
+    if np.any(adj[:, 1:] == adj[:, :-1]):
+        return "a vertex lists a neighbor twice"
+    # keys u*n+v ascend in row-major order; symmetric iff the v*n+u agree
+    rows = np.repeat(np.arange(n, dtype=np.int64), d)
+    if not np.array_equal(rows * n + adj.ravel(), np.sort(adj.ravel() * n + rows)):
+        return "the adjacency is not symmetric"
+    return None
+
+
+def validate_regular(adjacency, d: int) -> bool:
+    """True iff per-vertex neighbor sequences form a simple d-regular graph.
+
+    Takes raw sequences (or an (n, d) array), so it can vet candidate
+    structures before a RegularGraph exists.
     """
-    if isinstance(adjacency, RegularGraph):
-        adjacency = adjacency.adj
-    adj = [tuple(nbrs) for nbrs in adjacency]
-    n = len(adj)
-    neighbor_sets = []
-    for u, nbrs in enumerate(adj):
-        seen = set(nbrs)
-        if len(nbrs) != d or len(seen) != d:
-            return False
-        if u in seen:
-            return False
-        if any(not (0 <= v < n) for v in nbrs):
-            return False
-        neighbor_sets.append(seen)
-    return all(
-        u in neighbor_sets[v] for u in range(n) for v in neighbor_sets[u]
-    )
+    try:
+        RegularGraph(adjacency, d=d)
+    except InvalidParameterError:
+        return False
+    return True
 
 
 class RegularGraph:
     """Simple undirected d-regular graph on vertices 0..n-1.
 
-    `family`/`family_params` record which generator produced the graph
-    (orient_clockwise needs to know the circulant structure); they do not
-    take part in equality.
+    `adj` is a read-only (n, d) int64 array whose row v lists v's neighbors
+    in increasing order. `family`/`family_params` record which generator
+    produced the graph (orient_clockwise needs to know the circulant
+    structure); they do not take part in equality.
     """
 
-    def __init__(self, adjacency: Iterable[Iterable[int]], d: Optional[int] = None,
+    def __init__(self, adjacency, d: Optional[int] = None,
                  family: Optional[str] = None, family_params: Optional[tuple] = None):
-        adj = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
-        if d is None:
-            d = len(adj[0]) if adj else 0
-        if not validate_regular(adj, d):
-            raise InvalidParameterError(
-                f"adjacency is not a simple {d}-regular graph"
-            )
-        self.n = len(adj)
-        self.d = d
-        self.adj = adj
-        self.m = self.n * d // 2
+        try:
+            adj = np.sort(np.array(adjacency, dtype=np.int64), axis=-1)
+        except (TypeError, ValueError, OverflowError):
+            adj = None
+        if adj is not None and adj.shape == (0,):  # no vertices at all
+            adj = adj.reshape(0, d or 0)
+        defect = _adjacency_defect(adj, d)
+        if defect:
+            raise InvalidParameterError(f"adjacency is not a simple d-regular graph: {defect}")
+        self.n, self.d = adj.shape
+        self.adj = _read_only(adj)
+        self.m = self.n * self.d // 2
         self.family = family
         self.family_params = family_params
-        self._edges = tuple(
-            (u, v) for u in range(self.n) for v in adj[u] if u < v
-        )
+        upper = adj > np.arange(self.n)[:, None]
+        self._edges = _read_only(np.column_stack([np.nonzero(upper)[0], adj[upper]]))
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], d: Optional[int] = None,
+    def from_edges(cls, n: int, edges, d: Optional[int] = None,
                    family: Optional[str] = None, family_params: Optional[tuple] = None
                    ) -> "RegularGraph":
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidParameterError(f"edge ({u}, {v}) out of range")
-            adj[u].append(v)
-            adj[v].append(u)
-        return cls(adj, d=d, family=family, family_params=family_params)
+        """Graph from an (m, 2) array or an iterable of (u, v) pairs."""
+        e = _int_pairs(edges, "edges")
+        if e.size and (e.min() < 0 or e.max() >= n):
+            raise InvalidParameterError(f"an edge endpoint is out of range 0..{n - 1}")
+        degree = np.bincount(e.ravel(), minlength=n)
+        if d is None:
+            d = int(degree[0]) if n else 0
+        if np.any(degree != d):
+            raise InvalidParameterError(
+                f"adjacency is not a simple {d}-regular graph: degrees differ"
+            )
+        # both directions of every edge as keys u*n+v: sorted, they are the
+        # rows of the adjacency in order, d per vertex
+        keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+        return cls((keys % n).reshape(n, d), d=d, family=family,
+                   family_params=family_params)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """All edges as (u, v) pairs with u < v."""
+    def edges(self) -> np.ndarray:
+        """All edges as a read-only (m, 2) array of rows (u, v), u < v, ascending."""
         return self._edges
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RegularGraph):
             return NotImplemented
-        return self.adj == other.adj
+        return np.array_equal(self.adj, other.adj)
 
     def __hash__(self):
-        return hash(self.adj)
+        return hash((self.adj.shape, self.adj.tobytes()))
 
     def __repr__(self) -> str:
         tag = f", family={self.family!r}" if self.family else ""
@@ -102,46 +136,45 @@ class RegularGraph:
 
 
 class Orientation:
-    """An orientation of a RegularGraph: every edge gets exactly one arc."""
+    """An orientation of a RegularGraph: every edge gets exactly one arc.
 
-    def __init__(self, graph: RegularGraph, arcs: Iterable[tuple[int, int]]):
-        arcs = tuple((int(t), int(h)) for t, h in arcs)
-        arc_set = frozenset(arcs)
-        if len(arc_set) != len(arcs):
-            raise InvalidParameterError("duplicate arcs")
-        edge_keys = {(min(t, h), max(t, h)) for t, h in arcs}
-        if len(edge_keys) != len(arcs) or edge_keys != set(graph.edges()):
+    `arcs` is a read-only (m, 2) int64 array of (tail, head) rows in the
+    order given; `out_degrees` counts each vertex's outgoing arcs.
+    """
+
+    def __init__(self, graph: RegularGraph, arcs):
+        arcs, n, edges = _int_pairs(arcs, "arcs"), graph.n, graph.edges()
+        lo, hi = arcs.min(axis=1), arcs.max(axis=1)
+        if (len(arcs) != len(edges) or (arcs.size and (lo.min() < 0 or hi.max() >= n))
+                or not np.array_equal(np.sort(lo * n + hi), edges[:, 0] * n + edges[:, 1])):
             raise InvalidParameterError(
                 "arcs must orient every edge of the graph exactly once"
             )
         self.graph = graph
-        self.arcs = arcs
-        self.arc_set = arc_set
-        out_nbrs: list[list[int]] = [[] for _ in range(graph.n)]
-        in_nbrs: list[list[int]] = [[] for _ in range(graph.n)]
-        for t, h in arcs:
-            out_nbrs[t].append(h)
-            in_nbrs[h].append(t)
-        self.out_nbrs = tuple(tuple(sorted(x)) for x in out_nbrs)
-        self.in_nbrs = tuple(tuple(sorted(x)) for x in in_nbrs)
+        self.arcs = _read_only(arcs)
+        self.out_degrees = _read_only(np.bincount(arcs[:, 0], minlength=n))
 
     def out_degree(self, v: int) -> int:
-        return len(self.out_nbrs[v])
+        return int(self.out_degrees[v])
 
     def in_degree(self, v: int) -> int:
-        return len(self.in_nbrs[v])
+        return self.graph.d - int(self.out_degrees[v])
 
     def deficit(self, v: int) -> int:
         """Out-degree minus in-degree (odd whenever d is odd)."""
-        return len(self.out_nbrs[v]) - len(self.in_nbrs[v])
+        return 2 * int(self.out_degrees[v]) - self.graph.d
+
+    def _arc_keys(self) -> np.ndarray:
+        return np.sort(self.arcs[:, 0] * self.graph.n + self.arcs[:, 1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Orientation):
             return NotImplemented
-        return self.graph == other.graph and self.arc_set == other.arc_set
+        return (self.graph == other.graph
+                and np.array_equal(self._arc_keys(), other._arc_keys()))
 
     def __hash__(self):
-        return hash((self.graph, self.arc_set))
+        return hash((self.graph, self._arc_keys().tobytes()))
 
     def __repr__(self) -> str:
         return f"Orientation(n={self.graph.n}, d={self.graph.d})"
@@ -149,24 +182,17 @@ class Orientation:
 
 def deficit_partition(o: Orientation) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Split vertices into (V+, V-, V0) by deficit sign."""
-    vplus, vminus, vzero = [], [], []
-    for v in range(o.graph.n):
-        delta = o.deficit(v)
-        if delta > 0:
-            vplus.append(v)
-        elif delta < 0:
-            vminus.append(v)
-        else:
-            vzero.append(v)
-    return tuple(vplus), tuple(vminus), tuple(vzero)
+    delta = 2 * o.out_degrees - o.graph.d
+    return tuple(tuple(np.flatnonzero(m).tolist()) for m in (delta > 0, delta < 0, delta == 0))
 
 
 class Labelling:
     """Injective assignment of positive integer IDs to vertices.
 
-    Default ID space is [1, n^3], the usual polynomial ID assumption.
-    `origin` records how the labelling was produced (pattern name, search
-    seed); purely informational.
+    `ids` is a tuple of Python ints, since IDs may exceed 64 bits. Default
+    ID space is [1, n^3], the usual polynomial ID assumption. `origin`
+    records how the labelling was produced (pattern name, search seed);
+    purely informational.
     """
 
     def __init__(self, ids: Sequence[int], id_bound: Optional[int] = None,
@@ -187,8 +213,10 @@ class Labelling:
         self.max_id = max(ids) if ids else 0
         self.origin = origin
 
-    def id_of(self, v: int) -> int:
-        return self.ids[v]
+    def id_array(self) -> np.ndarray:
+        """The IDs as int64, or as an object array of Python ints past 2^63 - 1."""
+        fits = self.max_id <= np.iinfo(np.int64).max
+        return np.array(self.ids, dtype=np.int64 if fits else object)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Labelling):
@@ -216,20 +244,24 @@ def random_labelling(n: int, seed: int, id_bound: Optional[int] = None) -> Label
     return Labelling(ids, id_bound=id_bound, origin=f"random(seed={seed})")
 
 
+def coin_flips(rng: random.Random, k: int) -> np.ndarray:
+    """The bits of k calls to rng.getrandbits(1), from one getrandbits(32k):
+    it packs k 32-bit generator outputs little-endian, and getrandbits(1) is
+    the top bit of one output."""
+    words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+    return (np.frombuffer(words, dtype="<u4") >> 31).astype(np.int8)
+
+
 class Cut:
-    """Two-sided vertex partition; side LEFT (0) or RIGHT (1).
+    """Two-sided vertex partition: `sides` is a read-only int8 array of
+    LEFT (0) / RIGHT (1), one entry per vertex."""
 
-    Entries may be None while a cut is being assembled, but every operation
-    that consumes a cut requires it to be total.
-    """
-
-    def __init__(self, sides: Sequence[Optional[int]]):
-        checked = []
-        for s in sides:
-            if s is not None and s not in (LEFT, RIGHT):
-                raise InvalidParameterError(f"side must be LEFT/RIGHT, got {s!r}")
-            checked.append(s)
-        self.sides = tuple(checked)
+    def __init__(self, sides: Sequence[int]):
+        s = np.asarray(sides)
+        if s.size and not (s.ndim == 1 and s.dtype.kind in "biu"
+                           and np.all((s == LEFT) | (s == RIGHT))):
+            raise InvalidParameterError("every side must be LEFT (0) or RIGHT (1)")
+        self.sides = _read_only(s.reshape(-1).astype(np.int8))
         self.n = len(self.sides)
 
     @classmethod
@@ -237,68 +269,62 @@ class Cut:
         left = set(left)
         return cls([LEFT if v in left else RIGHT for v in range(n)])
 
-    def is_total(self) -> bool:
-        return all(s is not None for s in self.sides)
-
-    def side(self, v: int) -> Optional[int]:
-        return self.sides[v]
-
     def left_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, s in enumerate(self.sides) if s == LEFT)
+        return tuple(np.flatnonzero(self.sides == LEFT).tolist())
 
     def right_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, s in enumerate(self.sides) if s == RIGHT)
+        return tuple(np.flatnonzero(self.sides == RIGHT).tolist())
 
     def mirrored(self) -> "Cut":
         """Swap the two sides."""
-        return Cut([None if s is None else 1 - s for s in self.sides])
+        return Cut(1 - self.sides)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cut):
             return NotImplemented
-        return self.sides == other.sides
+        return np.array_equal(self.sides, other.sides)
 
     def __hash__(self):
-        return hash(self.sides)
+        return hash(self.sides.tobytes())
 
     def __repr__(self) -> str:
         return f"Cut(left={len(self.left_vertices())}, right={len(self.right_vertices())})"
 
 
-def _require_total(g: RegularGraph, c: Cut) -> None:
+def _require_cover(g: RegularGraph, c: Cut) -> None:
     if c.n != g.n:
-        raise InvalidParameterError(
-            f"cut covers {c.n} vertices, graph has {g.n}"
-        )
-    if not c.is_total():
-        raise InvalidParameterError("cut leaves some vertices unassigned")
+        raise InvalidParameterError(f"cut covers {c.n} vertices, graph has {g.n}")
+
+
+def same_side_counts(g: RegularGraph, c: Cut) -> np.ndarray:
+    """Per vertex, how many of its neighbors share its side."""
+    _require_cover(g, c)
+    return (c.sides[g.adj] == c.sides[:, None]).sum(axis=1)
 
 
 def cut_size(g: RegularGraph, c: Cut) -> int:
     """Number of edges with endpoints on different sides."""
-    _require_total(g, c)
-    sides = c.sides
-    return sum(1 for u, v in g.edges() if sides[u] != sides[v])
+    return g.m - int(same_side_counts(g, c).sum()) // 2
+
+
+def _dicut_mask(o: Orientation, c: Cut) -> np.ndarray:
+    _require_cover(o.graph, c)
+    return (c.sides[o.arcs[:, 0]] == LEFT) & (c.sides[o.arcs[:, 1]] == RIGHT)
 
 
 def dicut_size(o: Orientation, c: Cut) -> int:
     """Number of arcs from the left side to the right side."""
-    _require_total(o.graph, c)
-    sides = c.sides
-    return sum(1 for t, h in o.arcs if sides[t] == LEFT and sides[h] == RIGHT)
+    return int(np.count_nonzero(_dicut_mask(o, c)))
 
 
 def dicut_arcs(o: Orientation, c: Cut) -> frozenset[tuple[int, int]]:
     """The arcs counted by dicut_size, as a set."""
-    _require_total(o.graph, c)
-    sides = c.sides
-    return frozenset(
-        (t, h) for t, h in o.arcs if sides[t] == LEFT and sides[h] == RIGHT
-    )
+    return frozenset(map(tuple, o.arcs[_dicut_mask(o, c)].tolist()))
 
 
 def is_bipartite(g: RegularGraph) -> tuple[bool, Optional[Cut]]:
     """BFS 2-coloring. Returns (True, witness cut of size m) or (False, None)."""
+    adj = g.adj.tolist()
     color: list[Optional[int]] = [None] * g.n
     for start in range(g.n):
         if color[start] is not None:
@@ -307,7 +333,7 @@ def is_bipartite(g: RegularGraph) -> tuple[bool, Optional[Cut]]:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in g.adj[u]:
+            for v in adj[u]:
                 if color[v] is None:
                     color[v] = 1 - color[u]
                     queue.append(v)
@@ -318,7 +344,8 @@ def is_bipartite(g: RegularGraph) -> tuple[bool, Optional[Cut]]:
 
 def monochromatic_components(g: RegularGraph, c: Cut) -> list[frozenset[int]]:
     """Connected components of the subgraph induced by each cut side."""
-    _require_total(g, c)
+    _require_cover(g, c)
+    adj, sides = g.adj.tolist(), c.sides.tolist()
     seen = [False] * g.n
     components: list[frozenset[int]] = []
     for start in range(g.n):
@@ -329,8 +356,8 @@ def monochromatic_components(g: RegularGraph, c: Cut) -> list[frozenset[int]]:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in g.adj[u]:
-                if not seen[v] and c.sides[v] == c.sides[start]:
+            for v in adj[u]:
+                if not seen[v] and sides[v] == sides[start]:
                     seen[v] = True
                     comp.add(v)
                     queue.append(v)
@@ -340,5 +367,5 @@ def monochromatic_components(g: RegularGraph, c: Cut) -> list[frozenset[int]]:
 
 def boundary_size(g: RegularGraph, vertices: Iterable[int]) -> int:
     """Number of edges with exactly one endpoint in the vertex set."""
-    inside = set(vertices)
-    return sum(1 for u, v in g.edges() if (u in inside) != (v in inside))
+    inside = np.bincount(list(vertices), minlength=g.n).astype(bool)
+    return int(np.count_nonzero(inside[g.edges()[:, 0]] != inside[g.edges()[:, 1]]))

@@ -59,7 +59,6 @@ def _dicut_blocks(n: int, arcs, masks: int) -> Iterator[tuple[int, np.ndarray]]:
     in ascending order. `masks` is 2^n, or 2^(n-1) to pin vertex n-1 RIGHT.
     """
     k = n // 2
-    arcs = np.array(arcs, dtype=np.int64).reshape(-1, 2)
     q = np.zeros((n, n), dtype=np.float32)
     np.add.at(q, (arcs[:, 0], arcs[:, 1]), 1)
     out = np.bincount(arcs[:, 0], minlength=n).astype(np.float32)
@@ -101,8 +100,8 @@ def max_cut_exact(g: RegularGraph, budget: int = 30) -> tuple[int, Cut]:
         raise BudgetError(
             f"exact MaxCut enumerates 2^(n-1) cuts; n={g.n} exceeds budget {budget}"
         )
-    both = list(g.edges()) + [(v, u) for u, v in g.edges()]
-    return _best_dicut(g.n, both, 1 << (g.n - 1))
+    e = g.edges()
+    return _best_dicut(g.n, np.vstack([e, e[:, ::-1]]), 1 << (g.n - 1))
 
 
 def max_dicut_exact(o: Orientation, budget: int = 24) -> tuple[int, Cut]:

@@ -254,7 +254,7 @@ def verify_constructions(seed: int = 0, max_n: int = 40) -> dict:
         for n in range(2 * d, max_n + 1, 2):
             g = make_circulant(n, d)
             cases += 1
-            if not validate_regular(g, d):
+            if not validate_regular(g.adj, d):
                 violations.append(f"C_{n}^{d} not {d}-regular")
             if not is_bipartite(g)[0]:
                 violations.append(f"C_{n}^{d} not bipartite")
@@ -262,7 +262,7 @@ def verify_constructions(seed: int = 0, max_n: int = 40) -> dict:
         for n in range(2 * (d - 1), max_n + 1, 2):
             g = make_double_circulant(n, d)
             cases += 1
-            if not validate_regular(g, d):
+            if not validate_regular(g.adj, d):
                 violations.append(f"D_{2 * n}^{d} not {d}-regular")
             if not is_bipartite(g)[0]:
                 violations.append(f"D_{2 * n}^{d} not bipartite")

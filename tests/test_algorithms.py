@@ -44,7 +44,7 @@ def test_median_k4_identity_ids():
     g = complete_graph(4)
     c = median_cut(g, identity_labelling(4))
     # ids 1 and 2 see a neighbor median above themselves
-    assert c.sides == (LEFT, LEFT, RIGHT, RIGHT)
+    assert c.sides.tolist() == [LEFT, LEFT, RIGHT, RIGHT]
     assert cut_size(g, c) == 4
 
 
@@ -98,7 +98,7 @@ def test_median_component_boundaries(g, seed):
 def test_oriented_median_k4():
     o = make_id_orientation(complete_graph(4), identity_labelling(4))
     c = oriented_median_cut(o)
-    assert c.sides == (LEFT, LEFT, RIGHT, RIGHT)
+    assert c.sides.tolist() == [LEFT, LEFT, RIGHT, RIGHT]
     assert dicut_size(o, c) == 4
 
 
@@ -120,7 +120,7 @@ def test_all_left_everyone_flips():
     o = orient_clockwise(g)
     c = Cut([LEFT] * 8)
     flipped = unstable_flip_step(o, c)
-    assert flipped.sides == (RIGHT,) * 8
+    assert flipped.sides.tolist() == [RIGHT] * 8
     assert dicut_size(o, flipped) == 0  # still all on one side
 
 
@@ -175,7 +175,7 @@ def test_distributed_flip_k4_three_against_one():
     c = Cut.from_left_set(4, [0, 1, 2])
     nxt = distributed_flip_step(g, c)
     # the three Left vertices see 2 of 3 neighbors on their side and flip
-    assert nxt.sides == (RIGHT, RIGHT, RIGHT, RIGHT)
+    assert nxt.sides.tolist() == [RIGHT, RIGHT, RIGHT, RIGHT]
 
 
 def test_distributed_flip_fixed_on_maximal_cut():
@@ -260,4 +260,5 @@ def test_random_cut_reproducible():
     g = make_circulant(12, 4)
     assert random_cut(g, seed=3) == random_cut(g, seed=3)
     assert random_cut(g, seed=3) != random_cut(g, seed=4)
-    assert random_cut(g, seed=3).is_total()
+    sides = random_cut(g, seed=3).sides.tolist()
+    assert set(sides) <= {LEFT, RIGHT} and len(sides) == g.n

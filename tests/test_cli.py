@@ -51,6 +51,20 @@ def test_gen_oriented_with_ids(tmp_path, capsys):
     assert "IDS" in text
 
 
+@pytest.mark.parametrize("family,extra", [
+    ("cnd", ["--n", "12", "--d", "4"]),
+    ("random", ["--n", "12", "--d", "3"]),
+    ("abcd", ["--n", "12", "--d", "3"]),
+])
+@pytest.mark.parametrize("ids", ["identity", "extremal"])
+def test_gen_rejects_ids_outside_dnd(tmp_path, capsys, family, extra, ids):
+    out = tmp_path / "g.txt"
+    assert main(["gen", "--family", family, *extra, "--ids", ids,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --ids")
+    assert not out.exists()
+
+
 def test_gen_rejects_bad_params(tmp_path, capsys):
     out = str(tmp_path / "g.txt")
     assert main(["gen", "--family", "cnd", "--n", "9", "--d", "4",

@@ -36,7 +36,7 @@ def test_directed_roundtrip(orient):
     back, lab = read_graph(io.StringIO(graph_to_text(orient)))
     assert isinstance(back, Orientation)
     assert back.graph == orient.graph
-    assert set(back.arcs) == set(orient.arcs)
+    assert set(map(tuple, back.arcs.tolist())) == set(map(tuple, orient.arcs.tolist()))
     assert lab is None
 
 
@@ -71,8 +71,8 @@ def test_directed_header_and_arc_order():
     orient = make_random_orientation(g, seed=1)
     lines = graph_to_text(orient).splitlines()
     assert lines[0] == "12 18 3 D"
-    arcs = [tuple(map(int, ln.split())) for ln in lines[1:]]
-    assert arcs == list(orient.arcs)
+    arcs = [list(map(int, ln.split())) for ln in lines[1:]]
+    assert arcs == orient.arcs.tolist()
 
 
 def test_output_is_deterministic():
@@ -108,6 +108,18 @@ def test_malformed_input_rejected(text):
 def test_non_integer_id_line_rejected():
     text = "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 x\n1 2\n2 3\n3 4\n"
     with pytest.raises(InvalidParameterError, match="bad ID line"):
+        read_graph(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text,line", [
+    ("4 4 2 U\n0 1\n1 2\n2 3\n3 0_0\n", "bad edge line '3 0_0'"),
+    ("4 4 2 U\n0 1\n1 2\n2 3\n+3 0\n", "bad edge line '\\+3 0'"),
+    ("4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 1_000\n1 2\n2 3\n3 4\n",
+     "bad ID line '0 1_000'"),
+])
+def test_non_plain_integers_rejected(text, line):
+    # int() reads "0_0" as 0 and "+3" as 3; the format has plain digits only
+    with pytest.raises(InvalidParameterError, match=line):
         read_graph(io.StringIO(text))
 
 

@@ -176,7 +176,7 @@ def test_max_dicut_single_arc():
     g = RegularGraph.from_edges(2, [(0, 1)])
     size, witness = max_dicut_exact(Orientation(g, [(0, 1)]))
     assert size == 1
-    assert witness.sides == (0, 1)
+    assert witness.sides.tolist() == [0, 1]
 
 
 def test_max_dicut_budget_error():
