@@ -55,6 +55,7 @@ from .errors import (
     CongestionError,
     ConstructionError,
     InvalidParameterError,
+    InvariantError,
     LocalcutError,
     NonTerminationError,
     SearchNotFoundError,

@@ -16,7 +16,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnsupportedDegreeError
+from .errors import InvalidParameterError, InvariantError, UnsupportedDegreeError
 from .graphs import (Cut, LEFT, Labelling, Orientation, RIGHT, RegularGraph,
                      coin_flips, dicut_size, same_side_counts)
 
@@ -96,7 +96,7 @@ def sequential_flip_to_maximal(g: RegularGraph, c: Cut,
 
     Each flip grows the cut, so at most m flips happen and the result is at
     least m/2. `order` picks among improving vertices: "lowest" (default),
-    "highest", or a callable receiving the candidate list.
+    "highest", or a callable receiving the ascending candidate list.
     """
     if order == "lowest":
         pick = min
@@ -108,20 +108,22 @@ def sequential_flip_to_maximal(g: RegularGraph, c: Cut,
         raise InvalidParameterError(f"unknown order policy {order!r}")
     if c.n != g.n:
         raise InvalidParameterError(f"cut covers {c.n} vertices, graph has {g.n}")
-    adj, sides = g.adj.tolist(), c.sides.tolist()
+    sides = c.sides.copy()
+    same = same_side_counts(g, c)
     flips = 0
     while True:
-        candidates = [
-            v for v in range(g.n)
-            if 2 * sum(1 for u in adj[v] if sides[u] == sides[v]) > g.d
-        ]
-        if not candidates:
+        candidates = np.flatnonzero(2 * same > g.d)
+        if not candidates.size:
             break
-        v = pick(candidates)
-        sides[v] = 1 - sides[v]
+        v = pick(candidates.tolist())
+        # only v and its d neighbours change their same-side counts
+        sides[v] ^= 1
+        same[v] = g.d - same[v]
+        nbrs = g.adj[v]
+        same[nbrs] += np.where(sides[nbrs] == sides[v], 1, -1)
         flips += 1
         if flips > g.m:
-            raise AssertionError("more than m improving flips; cut bookkeeping bug")
+            raise InvariantError("more than m improving flips; cut bookkeeping bug")
     return Cut(sides)
 
 

@@ -30,6 +30,7 @@ from .errors import (
     CongestionError,
     ConstructionError,
     InvalidParameterError,
+    InvariantError,
     LocalcutError,
     NonTerminationError,
     SearchNotFoundError,
@@ -155,7 +156,7 @@ def cmd_run(args) -> int:
         else:
             cut, trace = run(MedianProgram(max(1, lab.max_id.bit_length())), g, lab)
         if cut != median_cut(g, lab):
-            raise AssertionError("simulated median disagrees with the function")
+            raise InvariantError("simulated median disagrees with the function")
         record["cut0"] = cut_size(g, cut)
         record["rounds_used"] = trace.rounds_used
         record["max_message_bits"] = trace.max_message_bits
@@ -313,7 +314,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (BudgetError, SearchNotFoundError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CongestionError, NonTerminationError, AssertionError) as exc:
+    except (CongestionError, NonTerminationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except LocalcutError as exc:

@@ -5,6 +5,15 @@ indices never leak in. Messages are '0'/'1' strings so their bit cost is
 just their length. Round r messages are computed from round r-1 state for
 every node at once, so execution order cannot matter.
 
+The engine keeps one flat outbox per round, slot u*d + p for port p of
+node u. Delivery is one numpy gather of that outbox at a fixed slot table,
+cut into one inbound tuple per node. Only nodes that have not output yet
+are stepped. The round's total and largest message size are counted once
+over the whole outbox, and the bit limit is checked against that largest
+size; only when it is exceeded, or a node fails otherwise, is the outbox
+scanned slot by slot, so the error names the same node, port and round as
+a port-by-port loop would.
+
 A program that outputs during its very first activation, before anything
 has been delivered, costs zero rounds.
 """
@@ -13,6 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -74,6 +84,12 @@ def run(program: NodeProgram, g: RegularGraph, lab: Labelling,
     raises CongestionError naming the sender, port, and round. Nodes that
     have output are not stepped again (silent afterwards). max_rounds
     defaults to 4n.
+
+    Nodes are stepped in index order and the first faulty node decides the
+    error; within a node the order is wrong arity, then a message over
+    bit_limit, then a bad side. Message sizes are checked once per round
+    over the whole outbox, so in a round with an oversized message the
+    nodes after its sender are still stepped before the error is raised.
     """
     if lab.n != g.n:
         raise InvalidParameterError("labelling size does not match graph")
@@ -83,57 +99,64 @@ def run(program: NodeProgram, g: RegularGraph, lab: Labelling,
     # Slot u*d + p is port p of u, which leads to v = adj[u, p]. Its message
     # lands in slot v*d + q with adj[v, q] = u: the rank of key v*n + u.
     rows = np.repeat(np.arange(n, dtype=np.int64), d)
-    deliver = np.searchsorted(rows * n + g.adj.ravel(), g.adj.ravel() * n + rows).tolist()
+    deliver = np.searchsorted(rows * n + g.adj.ravel(), g.adj.ravel() * n + rows)
     states = [program.init(own_id, d, d) for own_id in lab.ids]
     outputs: list[Optional[int]] = [None] * n
-    inbox: list[Optional[str]] = [None] * (n * d)
+    step = program.step
+    inboxes: list[tuple[Optional[str], ...]] = [(None,) * d] * n
+    live: Sequence[int] = range(n)
     max_bits = 0
     bits_per_round: list[int] = []
     round_index = 0
     while True:
         outbox: list[Optional[str]] = [None] * (n * d)
-        round_bits = 0
-        for v in range(n):
-            if outputs[v] is not None:
-                continue
-            state, outbound, out = program.step(
-                states[v], round_index, tuple(inbox[v * d:(v + 1) * d]))
-            outbound = list(outbound)
-            if len(outbound) != d:
-                raise InvalidParameterError(
-                    f"node {v} produced {len(outbound)} messages for {d} ports"
-                )
-            for port, msg in enumerate(outbound):
-                if msg is None:
-                    continue
-                if bit_limit is not None and len(msg) > bit_limit:
-                    raise CongestionError(v, port, round_index, len(msg), bit_limit)
-                round_bits += len(msg)
-                max_bits = max(max_bits, len(msg))
-            states[v] = state
-            outbox[v * d:(v + 1) * d] = outbound
-            if out is not None:
-                if out not in (LEFT, RIGHT):
+        running = []
+        try:
+            for v in live:
+                state, outbound, out = step(states[v], round_index, inboxes[v])
+                if not isinstance(outbound, (tuple, list)):
+                    outbound = list(outbound)
+                if len(outbound) != d:
+                    raise InvalidParameterError(
+                        f"node {v} produced {len(outbound)} messages for {d} ports"
+                    )
+                states[v] = state
+                outbox[v * d:(v + 1) * d] = outbound
+                if out is None:
+                    running.append(v)
+                elif out in (LEFT, RIGHT):
+                    outputs[v] = out
+                else:
                     raise InvalidParameterError(
                         f"node {v} output {out!r}, expected a side"
                     )
-                outputs[v] = out
+        except Exception:
+            # an oversized message from an earlier node (or this node's own,
+            # before a bad side) is the error a node-by-node check would raise
+            _check_bit_limit(outbox, d, round_index, bit_limit)
+            raise
+        round_bits = sum(map(len, filter(None, outbox)))
+        round_max = max(map(len, filter(None, outbox)), default=0)
+        if bit_limit is not None and round_max > bit_limit:
+            _check_bit_limit(outbox, d, round_index, bit_limit)
+        max_bits = max(max_bits, round_max)
         bits_per_round.append(round_bits)
-        if all(out is not None for out in outputs):
+        live = running
+        if not live:
             break
         if round_index >= max_rounds:
             raise NonTerminationError(
-                f"{sum(1 for o in outputs if o is None)} nodes still running "
-                f"after {max_rounds} rounds"
+                f"{len(live)} nodes still running after {max_rounds} rounds"
             )
-        inbox = [None] * (n * d)
-        for slot, msg in enumerate(outbox):
-            if msg is not None:
-                inbox[deliver[slot]] = msg
-        if outbox.count(None) == n * d:
+        if not round_bits and outbox.count(None) == n * d:
             raise NonTerminationError(
                 "nodes are waiting but no messages are in flight"
             )
+        # deliver is its own inverse (the ports u->v and v->u swap slots), so
+        # the inbox is the outbox gathered at deliver, cut into node tuples
+        inboxes = None  # free last round's tuples before building the next
+        slots = iter(np.fromiter(outbox, object, n * d)[deliver])
+        inboxes = list(zip(*[slots] * d))
         round_index += 1
 
     trace = RoundTrace(
@@ -143,6 +166,21 @@ def run(program: NodeProgram, g: RegularGraph, lab: Labelling,
         bits_per_round=tuple(bits_per_round),
     )
     return Cut(outputs), trace
+
+
+def _check_bit_limit(outbox: list[Optional[str]], d: int, round_index: int,
+                     bit_limit: Optional[int]) -> None:
+    """Raise CongestionError for the first slot whose message is too long.
+
+    Also called while another node's error is being handled; that error is
+    then superseded, so it is not chained onto this one.
+    """
+    if bit_limit is None:
+        return
+    for slot, msg in enumerate(outbox):
+        if msg is not None and len(msg) > bit_limit:
+            node, port = divmod(slot, d)
+            raise CongestionError(node, port, round_index, len(msg), bit_limit) from None
 
 
 class MedianProgram(NodeProgram):
@@ -198,15 +236,16 @@ class BitSerializedMedianProgram(NodeProgram):
     def step(self, state, round_index, inbound):
         ports = len(inbound)
         if round_index > 0:
-            received = [
-                acc + (msg or "") for acc, msg in zip(state["received"], inbound)
-            ]
-            state = {**state, "received": received}
+            # the state is this node's own, so extend its strings in place
+            received = state["received"]
+            if None in inbound:
+                inbound = [msg or "" for msg in inbound]
+            received[:] = map(add, received, inbound)
         if round_index < self.num_chunks:
             lo = round_index * self.chunk_bits
             chunk = state["bits"][lo:lo + self.chunk_bits]
             return state, (chunk,) * ports, None
-        neighbor_ids = sorted(decode_id(bits) for bits in state["received"])
+        neighbor_ids = sorted(map(decode_id, state["received"]))
         median = neighbor_ids[len(neighbor_ids) // 2]
         side = LEFT if median > state["id"] else RIGHT
         return state, (None,) * ports, side
@@ -235,11 +274,8 @@ class FlipProgram(NodeProgram):
     def step(self, state, round_index, inbound):
         ports = len(inbound)
         side = state["side"]
-        if round_index > 0:
-            same = sum(1 for msg in inbound if decode_id(msg) == side)
-            if 2 * same > ports:
-                side = 1 - side
-            state = {**state, "side": side}
+        if round_index > 0 and 2 * inbound.count(str(side)) > ports:
+            side = state["side"] = 1 - side
         if round_index >= self.rounds:
             return state, (None,) * ports, side
         return state, (str(side),) * ports, None

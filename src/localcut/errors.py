@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: parameter problems exit 2, budget and
-search-exhaustion problems exit 3, failed verification exits 1.
+search-exhaustion problems exit 3, failed verification and failed internal
+cross-checks exit 1.
 """
 
 
@@ -53,3 +54,7 @@ class CongestionError(LocalcutError):
 
 class NonTerminationError(LocalcutError):
     """A node program did not produce output within the round limit."""
+
+
+class InvariantError(LocalcutError):
+    """An internal cross-check failed: a bug in localcut, not bad input."""

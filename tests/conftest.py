@@ -4,7 +4,9 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from localcut import (
+    LEFT,
     Labelling,
+    NodeProgram,
     make_random_orientation,
     make_random_regular,
     random_labelling,
@@ -54,3 +56,37 @@ def labelling_for(n: int, seed: int) -> Labelling:
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+class NodeFault(Exception):
+    """Raised by a FaultyProgram node's own step."""
+
+
+class FaultyProgram(NodeProgram):
+    """Sends "1" on every port and outputs LEFT in round 2, except that the
+    node with ID i misbehaves in round r when faults[i] == (r, kinds).
+
+    kinds may hold "arity" (one message too many), "bits" (the last port
+    sends "111"), "side" (outputs 7) and "raise" (step raises NodeFault(i)).
+    """
+
+    def __init__(self, faults: dict):
+        self.faults = faults
+
+    def init(self, own_id, degree, port_count):
+        return own_id
+
+    def step(self, own_id, round_index, inbound):
+        msgs = ["1"] * len(inbound)
+        out = LEFT if round_index == 2 else None
+        at, kinds = self.faults.get(own_id, (None, ()))
+        if round_index == at:
+            if "raise" in kinds:
+                raise NodeFault(own_id)
+            if "bits" in kinds and msgs:
+                msgs[-1] = "111"
+            if "arity" in kinds:
+                msgs.append("1")
+            if "side" in kinds:
+                out = 7
+        return own_id, msgs, out

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from localcut import (
     Cut,
     InvalidParameterError,
+    InvariantError,
     LEFT,
     RIGHT,
     UnsupportedDegreeError,
@@ -244,6 +245,13 @@ def test_sequential_flip_order_policies():
 
     sequential_flip_to_maximal(g, start, order=tracker)
     assert picked[0] == (0, 1, 2, 3)
+
+
+def test_sequential_flip_guard_raises_invariant_error():
+    # a policy that keeps flipping vertex 0 back and forth never finishes
+    g = complete_graph(4)
+    with pytest.raises(InvariantError, match="more than m"):
+        sequential_flip_to_maximal(g, Cut([LEFT] * 4), order=lambda candidates: 0)
 
 
 def test_sequential_flip_rejects_bad_policy_and_partial_cut():

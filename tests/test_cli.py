@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from localcut import cli as cli_mod, median_cut
 from localcut import verify as verify_mod
 from localcut.cli import main
 
@@ -122,6 +123,16 @@ def test_run_median_congest_b1(tmp_path, capsys):
     assert rec["max_message_bits"] == 1
     assert rec["rounds_used"] == 5  # ids go up to 24, streamed one bit a round
     assert rec["pass"] is True
+
+
+def test_run_median_disagreement_is_exit_1_without_traceback(tmp_path, monkeypatch, capsys):
+    path = gen(tmp_path, "g.txt", "--family", "random", "--n", "16", "--d", "3")
+    capsys.readouterr()
+    monkeypatch.setattr(cli_mod, "median_cut", lambda g, lab: median_cut(g, lab).mirrored())
+    assert main(["run", "--algo", "median", "--graph", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: simulated median disagrees with the function\n"
 
 
 def test_run_oriented_median_needs_directed_file(tmp_path, capsys):

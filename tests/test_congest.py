@@ -27,7 +27,7 @@ from localcut import (
 )
 from localcut.congest import decode_id, encode_id
 
-from conftest import labelling_for, small_regular_graphs
+from conftest import FaultyProgram, NodeFault, labelling_for, small_regular_graphs
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -86,6 +86,7 @@ def test_median_over_bit_limit_raises():
     assert err.value.bits == 4
     assert err.value.limit == 3
     assert err.value.round_index == 0
+    assert (err.value.node, err.value.port) == (0, 0)
 
 
 # --- bit-serialized variant ------------------------------------------------------
@@ -249,3 +250,60 @@ def test_finished_nodes_stay_silent():
     # round 0: only odd-id nodes (4 of them) send on 2 ports each
     assert trace.bits_per_round[0] == 4 * 2
     assert trace.bits_per_round[1] == 0
+
+
+# --- error contract ---------------------------------------------------------------
+# FaultyProgram on the 8-cycle (d=2): the node at index v has ID v + 1,
+# every healthy message is one bit and the bit limit is 2.
+
+def _faulty_error(faults):
+    with pytest.raises(Exception) as err:
+        run(FaultyProgram(faults), make_circulant(8, 2), identity_labelling(8),
+            bit_limit=2)
+    return err.value
+
+
+def test_faulty_program_without_faults_runs():
+    cut, trace = run(FaultyProgram({}), make_circulant(8, 2), identity_labelling(8),
+                     bit_limit=1)
+    assert set(cut.sides) == {LEFT}
+    assert trace.rounds_used == 2
+    assert trace.bits_per_round == (16, 16, 16)
+
+
+@pytest.mark.parametrize("faults,expect", [
+    # across nodes: the first faulty node in node order decides
+    ({4: (1, {"bits"}), 6: (1, {"bits"})}, (CongestionError, 3)),
+    ({3: (1, {"bits"}), 5: (1, {"arity"})}, (CongestionError, 2)),
+    ({3: (1, {"bits"}), 5: (1, {"raise"})}, (CongestionError, 2)),
+    ({3: (1, {"arity"}), 5: (1, {"bits"})}, "node 2 produced 3 messages for 2 ports"),
+    ({3: (1, {"side"}), 5: (1, {"raise"})}, "node 2 output 7, expected a side"),
+    ({3: (1, {"raise"}), 5: (1, {"bits"})}, (NodeFault, 3)),
+    ({5: (1, {"bits"}), 3: (1, {"raise"})}, (NodeFault, 3)),
+    # an earlier round decides before a lower node index
+    ({8: (0, {"side"}), 1: (1, {"bits"})}, "node 7 output 7, expected a side"),
+    # within one node: wrong arity, then bit limit, then bad side
+    ({3: (1, {"arity", "bits"})}, "node 2 produced 3 messages for 2 ports"),
+    ({3: (1, {"arity", "side"})}, "node 2 produced 3 messages for 2 ports"),
+    ({3: (1, {"bits", "side"})}, (CongestionError, 2)),
+    ({3: (1, {"side"})}, "node 2 output 7, expected a side"),
+])
+def test_first_faulty_node_decides_the_error(faults, expect):
+    err = _faulty_error(faults)
+    if isinstance(expect, str):
+        assert type(err) is InvalidParameterError
+        assert str(err) == expect
+    elif expect[0] is CongestionError:
+        assert type(err) is CongestionError
+        assert (err.node, err.port, err.round_index, err.bits, err.limit) == (
+            expect[1], 1, 1, 3, 2)
+    else:
+        assert type(err) is NodeFault
+        assert err.args == (expect[1],)
+
+
+def test_step_exception_propagates_unchanged():
+    err = _faulty_error({6: (2, {"raise"})})
+    assert type(err) is NodeFault
+    assert err.args == (6,)
+    assert err.__cause__ is None and err.__context__ is None

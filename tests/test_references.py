@@ -1,9 +1,11 @@
-"""The array rules against the per-vertex loops they replaced.
+"""The fast code against the slow per-vertex code it replaced.
 
 Each reference below is the plain-Python loop that computed the rule when
 graphs were tuples of tuples. They read the instance through `.tolist()`
 only, and the numpy rule must agree with them exactly, on every degree from
-1 to 7 (even degrees included wherever the rule is defined).
+1 to 7 (even degrees included wherever the rule is defined). The round
+simulator and its node programs are checked the same way, against the
+port-by-port engine and the copy-on-write programs they replaced.
 """
 
 import random
@@ -12,10 +14,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localcut import (
+    BitSerializedMedianProgram,
+    CongestionError,
     Cut,
+    FlipProgram,
     InvalidParameterError,
     LEFT,
     Labelling,
+    MedianProgram,
+    NodeProgram,
+    NonTerminationError,
     Orientation,
     RIGHT,
     RegularGraph,
@@ -24,6 +32,7 @@ from localcut import (
     dicut_arcs,
     dicut_size,
     distributed_flip_step,
+    identity_labelling,
     is_maximal_cut,
     make_circulant,
     make_id_orientation,
@@ -32,12 +41,15 @@ from localcut import (
     median_cut,
     oriented_median_cut,
     random_cut,
+    run,
+    sequential_flip_to_maximal,
     stable_vertices,
     unstable_flip_step,
     validate_regular,
 )
+from localcut.congest import RoundTrace, decode_id, encode_id
 
-from conftest import labelling_for
+from conftest import FaultyProgram, labelling_for
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -107,8 +119,167 @@ def ref_distributed_flip(adj, sides):
             for v, s in enumerate(sides)]
 
 
+def ref_flip_rounds(adj, sides, rounds):
+    for _ in range(rounds):
+        sides = ref_distributed_flip(adj, sides)
+    return list(sides)
+
+
 def ref_is_maximal(adj, sides):
     return all(2 * ref_same(adj, sides, v) <= len(adj[v]) for v in range(len(adj)))
+
+
+def ref_sequential_flip(adj, sides, pick):
+    """Recount every vertex after each flip; flip the one `pick` chooses."""
+    sides, d = list(sides), len(adj[0])
+    while True:
+        candidates = [v for v in range(len(adj)) if 2 * ref_same(adj, sides, v) > d]
+        if not candidates:
+            return sides
+        v = pick(candidates)
+        sides[v] = 1 - sides[v]
+
+
+def ref_run(program, g, lab, bit_limit=None, max_rounds=None):
+    """The port-by-port round engine: scatter delivery, per-message counts."""
+    if lab.n != g.n:
+        raise InvalidParameterError("labelling size does not match graph")
+    if max_rounds is None:
+        max_rounds = 4 * g.n
+    n, d = g.n, g.d
+    adj = g.adj.tolist()
+    deliver = [v * d + adj[v].index(u) for u in range(n) for v in adj[u]]
+    states = [program.init(own_id, d, d) for own_id in lab.ids]
+    outputs = [None] * n
+    inbox = [None] * (n * d)
+    max_bits = 0
+    bits_per_round = []
+    round_index = 0
+    while True:
+        outbox = [None] * (n * d)
+        round_bits = 0
+        for v in range(n):
+            if outputs[v] is not None:
+                continue
+            state, outbound, out = program.step(
+                states[v], round_index, tuple(inbox[v * d:(v + 1) * d]))
+            outbound = list(outbound)
+            if len(outbound) != d:
+                raise InvalidParameterError(
+                    f"node {v} produced {len(outbound)} messages for {d} ports"
+                )
+            for port, msg in enumerate(outbound):
+                if msg is None:
+                    continue
+                if bit_limit is not None and len(msg) > bit_limit:
+                    raise CongestionError(v, port, round_index, len(msg), bit_limit)
+                round_bits += len(msg)
+                max_bits = max(max_bits, len(msg))
+            states[v] = state
+            outbox[v * d:(v + 1) * d] = outbound
+            if out is not None:
+                if out not in (LEFT, RIGHT):
+                    raise InvalidParameterError(
+                        f"node {v} output {out!r}, expected a side"
+                    )
+                outputs[v] = out
+        bits_per_round.append(round_bits)
+        if all(out is not None for out in outputs):
+            break
+        if round_index >= max_rounds:
+            raise NonTerminationError(
+                f"{sum(1 for o in outputs if o is None)} nodes still running "
+                f"after {max_rounds} rounds"
+            )
+        inbox = [None] * (n * d)
+        for slot, msg in enumerate(outbox):
+            if msg is not None:
+                inbox[deliver[slot]] = msg
+        if outbox.count(None) == n * d:
+            raise NonTerminationError(
+                "nodes are waiting but no messages are in flight"
+            )
+        round_index += 1
+    return Cut(outputs), RoundTrace(round_index, max_bits, sum(bits_per_round),
+                                    tuple(bits_per_round))
+
+
+class RefBitSerializedMedianProgram(NodeProgram):
+    """Median rule in B-bit chunks, copying its state every round."""
+
+    def __init__(self, id_width, chunk_bits):
+        self.id_width = id_width
+        self.chunk_bits = chunk_bits
+        self.num_chunks = -(-id_width // chunk_bits)
+
+    def init(self, own_id, degree, port_count):
+        if degree % 2 == 0:
+            raise InvalidParameterError("median rule needs odd degree")
+        return {
+            "bits": encode_id(own_id, self.id_width),
+            "id": own_id,
+            "received": [""] * port_count,
+        }
+
+    def step(self, state, round_index, inbound):
+        ports = len(inbound)
+        if round_index > 0:
+            received = [
+                acc + (msg or "") for acc, msg in zip(state["received"], inbound)
+            ]
+            state = {**state, "received": received}
+        if round_index < self.num_chunks:
+            lo = round_index * self.chunk_bits
+            chunk = state["bits"][lo:lo + self.chunk_bits]
+            return state, (chunk,) * ports, None
+        neighbor_ids = sorted(decode_id(bits) for bits in state["received"])
+        median = neighbor_ids[len(neighbor_ids) // 2]
+        side = LEFT if median > state["id"] else RIGHT
+        return state, (None,) * ports, side
+
+
+class RefFlipProgram(NodeProgram):
+    """FLIP that decodes every message and copies its state every round."""
+
+    def __init__(self, initial_side, rounds):
+        self.initial_side = initial_side
+        self.rounds = rounds
+
+    def init(self, own_id, degree, port_count):
+        return {"side": int(self.initial_side(own_id))}
+
+    def step(self, state, round_index, inbound):
+        ports = len(inbound)
+        side = state["side"]
+        if round_index > 0:
+            same = sum(1 for msg in inbound if decode_id(msg) == side)
+            if 2 * same > ports:
+                side = 1 - side
+            state = {**state, "side": side}
+        if round_index >= self.rounds:
+            return state, (None,) * ports, side
+        return state, (str(side),) * ports, None
+
+
+class StaggeredProgram(NodeProgram):
+    """Nodes finish in different rounds and send messages of 0-2 bits.
+
+    The node with ID i runs i % 4 rounds, leaves port p silent when
+    i + p is divisible by 3, and outputs the parity of a port-weighted sum
+    of all it received, so a misdelivered message changes the cut.
+    """
+
+    def init(self, own_id, degree, port_count):
+        return (own_id, 0)
+
+    def step(self, state, round_index, inbound):
+        own_id, seen = state
+        seen = 3 * seen + sum((p + 1) * len(m) for p, m in enumerate(inbound) if m)
+        if round_index >= own_id % 4:
+            return (own_id, seen), [None] * len(inbound), seen % 2
+        msgs = [None if (own_id + p) % 3 == 0 else "1" * ((own_id + p + round_index) % 3)
+                for p in range(len(inbound))]
+        return (own_id, seen), msgs, None
 
 
 # --- instances -------------------------------------------------------------------
@@ -172,6 +343,145 @@ def test_median_with_ids_beyond_int64(low):
     arcs = make_id_orientation(g, lab).arcs.tolist()
     assert all(ids[t] < ids[h] for t, h in arcs)
     assert ref_deficit_sides(arcs, g.n) == want
+
+
+# --- round simulator ---------------------------------------------------------------
+
+def simulated(engine, program, g, lab, **limits):
+    """(sides, trace) of a run, or (error type, message, error fields)."""
+    try:
+        cut, trace = engine(program, g, lab, **limits)
+    except Exception as exc:
+        return type(exc), str(exc), vars(exc)
+    return cut.sides.tolist(), trace
+
+
+@given(graphs_with_sides(degrees=(1, 3, 5, 7)), seeds, st.integers(min_value=1, max_value=7))
+@settings(max_examples=100)
+def test_serialized_median_matches_reference_engine(case, seed, chunk):
+    g = case[0].graph
+    lab = labelling_for(g.n, seed)
+    width = max(1, lab.max_id.bit_length())
+    want = simulated(ref_run, RefBitSerializedMedianProgram(width, chunk), g, lab,
+                     bit_limit=chunk)
+    assert want[0] == median_cut(g, lab).sides.tolist()
+    assert want[1].rounds_used == -(-width // chunk)
+    assert simulated(run, BitSerializedMedianProgram(width, chunk), g, lab,
+                     bit_limit=chunk) == want
+    assert simulated(run, MedianProgram(width), g, lab) == simulated(
+        ref_run, MedianProgram(width), g, lab)
+
+
+@pytest.mark.parametrize("chunk", range(1, 8))
+def test_serialized_median_chunks_of_a_five_bit_width(chunk):
+    # IDs 1..30 take 5 bits, which chunks 2, 3 and 4 do not divide
+    g = make_random_regular(30, 5, seed=chunk)
+    lab = identity_labelling(g.n)
+    want = simulated(ref_run, RefBitSerializedMedianProgram(5, chunk), g, lab,
+                     bit_limit=chunk)
+    assert want[1].rounds_used == -(-5 // chunk)
+    assert simulated(run, BitSerializedMedianProgram(5, chunk), g, lab,
+                     bit_limit=chunk) == want
+
+
+@given(graphs_with_sides(), seeds, st.integers(min_value=0, max_value=5))
+@settings(max_examples=100)
+def test_flip_program_matches_reference_engine(case, seed, rounds):
+    o, sides = case
+    lab = labelling_for(o.graph.n, seed)
+    side_of = dict(zip(lab.ids, sides)).__getitem__
+    want = simulated(ref_run, RefFlipProgram(side_of, rounds), o.graph, lab, bit_limit=1)
+    assert want[0] == ref_flip_rounds(o.graph.adj.tolist(), sides, rounds)
+    assert simulated(run, FlipProgram(side_of, rounds), o.graph, lab,
+                     bit_limit=1) == want
+
+
+@given(graphs_with_sides(), seeds, st.sampled_from([None, 1, 2]),
+       st.sampled_from([None, 0, 1, 2]))
+@settings(max_examples=150)
+def test_staggered_program_matches_reference_engine(case, seed, bit_limit, max_rounds):
+    g = case[0].graph
+    lab = labelling_for(g.n, seed)
+    limits = {"bit_limit": bit_limit, "max_rounds": max_rounds}
+    assert simulated(run, StaggeredProgram(), g, lab, **limits) == simulated(
+        ref_run, StaggeredProgram(), g, lab, **limits)
+
+
+_fault_kinds = st.sets(st.sampled_from(["arity", "bits", "side", "raise"]), max_size=3)
+
+
+@given(graphs_with_sides(), st.data())
+@settings(max_examples=150)
+def test_faulty_programs_raise_what_the_reference_raises(case, data):
+    g = case[0].graph
+    faults = data.draw(st.dictionaries(
+        st.integers(min_value=1, max_value=g.n),
+        st.tuples(st.integers(min_value=0, max_value=2), _fault_kinds), max_size=4))
+    lab = identity_labelling(g.n)
+    assert simulated(run, FaultyProgram(faults), g, lab, bit_limit=2) == simulated(
+        ref_run, FaultyProgram(faults), g, lab, bit_limit=2)
+
+
+def stepped(program, state, round_index, inbound):
+    """One step's (state, outbound, output), or (error type, message)."""
+    try:
+        return program.step(state, round_index, inbound)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7),
+       st.integers(min_value=1, max_value=5), st.data())
+@settings(max_examples=100)
+def test_programs_step_like_the_copying_references(width, chunk, ports, data):
+    # driven directly, so inbound may hold None (a silent neighbour), which
+    # the median program counts as no bits
+    own_id = data.draw(st.integers(min_value=0, max_value=2 ** width - 1))
+    fast, ref = (BitSerializedMedianProgram(width, chunk),
+                 RefBitSerializedMedianProgram(width, chunk))
+    pair = [program.init(own_id, 2 * ports + 1, ports) for program in (fast, ref)]
+    msg = st.one_of(st.none(), st.text("01", max_size=chunk))
+    for r in range(fast.num_chunks + 1):
+        inbound = tuple(data.draw(st.lists(msg, min_size=ports, max_size=ports)))
+        a, b = stepped(fast, pair[0], r, inbound), stepped(ref, pair[1], r, inbound)
+        assert a == b
+        if isinstance(a[0], type):
+            break
+        pair = [a[0], b[0]]
+    sides = data.draw(st.sampled_from([LEFT, RIGHT]))
+    fast, ref = FlipProgram(lambda _: sides, 3), RefFlipProgram(lambda _: sides, 3)
+    pair = [program.init(own_id, ports, ports) for program in (fast, ref)]
+    for r in range(4):
+        inbound = tuple(data.draw(st.lists(st.sampled_from("01"),
+                                           min_size=ports, max_size=ports)))
+        a, b = fast.step(pair[0], r, inbound), ref.step(pair[1], r, inbound)
+        assert a == b
+        pair = [a[0], b[0]]
+
+
+# --- sequential flips ------------------------------------------------------------------
+
+@given(graphs_with_sides(), st.sampled_from(["lowest", "highest", "middle"]))
+@settings(max_examples=100)
+def test_sequential_flip_matches_recounting_loop(case, policy):
+    o, sides = case
+    g = o.graph
+    choose = {"lowest": min, "highest": max,
+              "middle": lambda candidates: candidates[len(candidates) // 2]}[policy]
+    offered = {"fast": [], "ref": []}
+
+    def recording(key):
+        def pick(candidates):
+            offered[key].append(candidates)
+            return choose(candidates)
+        return pick
+
+    want = ref_sequential_flip(g.adj.tolist(), sides, recording("ref"))
+    assert sequential_flip_to_maximal(g, Cut(sides), recording("fast")).sides.tolist() == want
+    assert offered["fast"] == offered["ref"]
+    assert all(type(v) is int for candidates in offered["fast"] for v in candidates)
+    if policy != "middle":
+        assert sequential_flip_to_maximal(g, Cut(sides), policy).sides.tolist() == want
 
 
 # --- seeded generators ------------------------------------------------------------
