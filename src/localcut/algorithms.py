@@ -40,7 +40,7 @@ def oriented_median_cut(o: Orientation) -> Cut:
 
     pre: no vertex has deficit 0 (guaranteed when d is odd).
     """
-    delta = 2 * o.out_degrees - o.graph.d
+    delta = o.deficits
     zero = np.flatnonzero(delta == 0)
     if zero.size:
         raise InvalidParameterError(
@@ -49,9 +49,9 @@ def oriented_median_cut(o: Orientation) -> Cut:
     return Cut(np.where(delta > 0, LEFT, RIGHT))
 
 
-def stable_vertices(g: RegularGraph, c: Cut) -> frozenset[int]:
-    """Vertices with at least one neighbor on the other side (undirected)."""
-    return frozenset(np.flatnonzero(same_side_counts(g, c) < g.d).tolist())
+def stable_vertices(g: RegularGraph, c: Cut) -> np.ndarray:
+    """Boolean vertex mask: at least one neighbor on the other side (undirected)."""
+    return same_side_counts(g, c) < g.d
 
 
 def unstable_flip_step(o: Orientation, c: Cut) -> Cut:

@@ -3,6 +3,8 @@
 Every floor and ratio is a Fraction; every inequality check compares
 integers. Floats never decide a verdict (log_star is the one place floats
 appear, and only below 2^53 where they are exact enough for iterated logs).
+The flip decomposition holds its sets as boolean masks, built with array
+expressions and counted with np.count_nonzero.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
+
+import numpy as np
 
 from .errors import InvalidParameterError
 from .graphs import (
@@ -18,6 +22,7 @@ from .graphs import (
     LEFT,
     Orientation,
     RegularGraph,
+    _read_only,
     boundary_size,
     dicut_size,
 )
@@ -67,9 +72,14 @@ def two_flip_floor(d: int) -> Fraction:
     return f_d(d, 0, y) if d == 3 else f_d(d, y, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlipDecomposition:
     """All the sets the flip-refined inequalities talk about.
+
+    Every set is a read-only boolean mask: M, M_star, M_one, U0 and U1 over
+    the vertices 0..n-1, E0 and F0 over the rows of `graph.edges()`, E1 over
+    the rows of the orientation's `arcs`. Count a set with np.count_nonzero;
+    len() of a mask is the size of what it ranges over.
 
     Relative to the deficit cut (V+ left, V- right) and one fixed optimal
     directed cut (V1, V2):
@@ -89,14 +99,14 @@ class FlipDecomposition:
     big_d: int
     opt: int
     cut_sizes: tuple[int, int, int]
-    M: frozenset[int]
-    M_star: frozenset[int]
-    M_one: frozenset[int]
-    E0: frozenset[tuple[int, int]]
-    E1: frozenset[tuple[int, int]]
-    F0: frozenset[tuple[int, int]]
-    U0: frozenset[int]
-    U1: frozenset[int]
+    M: np.ndarray
+    M_star: np.ndarray
+    M_one: np.ndarray
+    E0: np.ndarray
+    E1: np.ndarray
+    F0: np.ndarray
+    U0: np.ndarray
+    U1: np.ndarray
 
 
 def decompose(o: Orientation, opt_cut: Cut) -> FlipDecomposition:
@@ -112,63 +122,45 @@ def decompose(o: Orientation, opt_cut: Cut) -> FlipDecomposition:
     )
 
     g = o.graph
-    n, d = g.n, g.d
+    u, v = g.edges().T
+    t, h = o.arcs.T
     c0 = oriented_median_cut(o)
-    plus = frozenset(c0.left_vertices())
+    plus = c0.sides == LEFT
+    M = (opt_cut.sides == LEFT) != plus
+    deficits = o.deficits
+    M_star = M & (np.abs(deficits) >= 3)
 
-    v1 = frozenset(opt_cut.left_vertices())
-    M = frozenset(
-        v for v in range(n)
-        if (v in v1) != (v in plus)
-    )
-    M_star = frozenset(v for v in M if abs(o.deficit(v)) >= 3)
-
-    U0 = frozenset(range(n)) - stable_vertices(g, c0)
+    U0 = ~stable_vertices(g, c0)
     c1 = unstable_flip_step(o, c0)
     c2 = unstable_flip_step(o, c1)
-    U1 = frozenset(range(n)) - stable_vertices(g, c1)
+    U1 = ~stable_vertices(g, c1)
 
-    m_plus = M & plus
-    m_minus = M - plus
+    m_plus, m_minus = M & plus, M & ~plus
 
-    def in_e0(u: int, v: int) -> bool:
-        for x, y in ((u, v), (v, u)):
-            if x not in plus and y in m_plus:
-                return True
-            if x in m_minus and y in plus:
-                return True
-        return (u in m_plus and v in m_plus) or (u in m_minus and v in m_minus)
+    def e0_one_way(x, y):
+        return (~plus[x] & m_plus[y]) | (m_minus[x] & plus[y])
 
-    E0 = frozenset((u, v) for u, v in g.edges().tolist() if in_e0(u, v))
-    E1 = frozenset(
-        (t, h) for t, h in o.arcs.tolist()
-        if (t in plus and h in plus and t not in U0 and h in U0)
-        or (t not in plus and h not in plus and t in U0 and h not in U0)
-    )
-    F0 = frozenset(
-        (u, v) for u, v in g.edges().tolist()
-        if u not in M and v not in M and (u in plus) == (v in plus)
-    )
-    touched = {v for e in E0 for v in e} | {v for a in E1 for v in a}
-    M_one = frozenset(v for v in M - M_star if v not in touched)
+    E0 = (e0_one_way(u, v) | e0_one_way(v, u)
+          | (m_plus[u] & m_plus[v]) | (m_minus[u] & m_minus[v]))
+    E1 = ((plus[t] & plus[h] & ~U0[t] & U0[h])
+          | (~plus[t] & ~plus[h] & U0[t] & ~U0[h]))
+    F0 = ~M[u] & ~M[v] & (plus[u] == plus[v])
+    touched = np.zeros(g.n, dtype=bool)
+    touched[g.edges()[E0]] = True
+    touched[o.arcs[E1]] = True
+    M_one = M & ~M_star & ~touched
 
-    big_d = sum(
-        o.out_degree(v) if v in plus else o.in_degree(v) for v in range(n)
-    )
+    masks = {"M": M, "M_star": M_star, "M_one": M_one, "E0": E0, "E1": E1,
+             "F0": F0, "U0": U0, "U1": U1}
     return FlipDecomposition(
-        d=d,
-        n=n,
-        big_d=big_d,
+        d=g.d,
+        n=g.n,
+        # a V+ vertex's out-degree and a V- vertex's in-degree are both
+        # (d + |deficit|) / 2
+        big_d=(g.d * g.n + int(np.abs(deficits).sum())) // 2,
         opt=dicut_size(o, opt_cut),
         cut_sizes=(dicut_size(o, c0), dicut_size(o, c1), dicut_size(o, c2)),
-        M=M,
-        M_star=M_star,
-        M_one=M_one,
-        E0=E0,
-        E1=E1,
-        F0=F0,
-        U0=U0,
-        U1=U1,
+        **{name: _read_only(mask) for name, mask in masks.items()},
     )
 
 
@@ -180,24 +172,22 @@ class InequalityVerdict:
     holds: bool
 
 
-def check_inequalities(dec: FlipDecomposition,
-                       d: Optional[int] = None,
-                       n: Optional[int] = None) -> dict[str, InequalityVerdict]:
+def check_inequalities(dec: FlipDecomposition) -> dict[str, InequalityVerdict]:
     """Evaluate the nine flip inequalities on a decomposition.
 
     All quantities are integers; (d-1)/2 is exact since d is odd. Returns
     one verdict per inequality, keyed by the usual tags.
     """
-    d = dec.d if d is None else d
-    n = dec.n if n is None else n
+    d, n = dec.d, dec.n
     if d % 2 == 0:
         raise InvalidParameterError("the inequalities assume odd d")
     cut0, cut1, cut2 = dec.cut_sizes
     opt, big_d = dec.opt, dec.big_d
-    half = (d - 1) // 2
-    base = opt - half * len(dec.M)
-    e0, e1, u1 = len(dec.E0), len(dec.E1), len(dec.U1)
-    mstar, f0, msize = len(dec.M_star), len(dec.F0), len(dec.M)
+    msize, mstar, e0, e1, f0, u1 = (
+        int(np.count_nonzero(s))
+        for s in (dec.M, dec.M_star, dec.E0, dec.E1, dec.F0, dec.U1)
+    )
+    base = opt - (d - 1) // 2 * msize
 
     checks = [
         # eq1 is usually stated as a chain; split it so each step gets a verdict

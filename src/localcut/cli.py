@@ -27,12 +27,10 @@ from .bounds import median_floor, oriented_ratio, two_flip_floor
 from .congest import MedianProgram, run, run_bit_serialized_median
 from .errors import (
     BudgetError,
-    CongestionError,
     ConstructionError,
     InvalidParameterError,
     InvariantError,
     LocalcutError,
-    NonTerminationError,
     SearchNotFoundError,
 )
 from .generators import (
@@ -96,7 +94,7 @@ def cmd_gen(args) -> int:
         if args.ids == "identity":
             lab = identity_labelling(g.n)
         elif args.ids == "extremal":
-            lab = make_extremal_labelling(g, seed=args.seed)
+            lab = make_extremal_labelling(g)
     elif args.family == "abcd":
         obj = make_abcd_instance(args.d, args.n)
     elif args.family == "random":
@@ -304,25 +302,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, (InvalidParameterError, OSError)):
+        return 2
+    if isinstance(exc, (BudgetError, SearchNotFoundError, ConstructionError)):
+        return 3
+    return 1
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidParameterError,) as exc:
+    except (LocalcutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BudgetError, SearchNotFoundError, ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (CongestionError, NonTerminationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LocalcutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -18,9 +18,9 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import (
-    BudgetError,
     ConstructionError,
     InvalidParameterError,
+    InvariantError,
     SearchNotFoundError,
 )
 from .graphs import Labelling, Orientation, RegularGraph, coin_flips
@@ -303,25 +303,26 @@ def make_abcd_instance(d: int, n: int) -> Orientation:
 
     graph = RegularGraph.from_edges(n, arcs, d=d, family="abcd", family_params=(d, n))
     o = Orientation(graph, arcs)
-    for v in range(n):
-        want = 1 if (v in A or v in D) else -1
-        if o.deficit(v) != want:
-            raise ConstructionError(f"vertex {v} has deficit {o.deficit(v)}")
-    assert da == sum(1 for t_, h in arcs if t_ in D)
+    want = np.full(n, -1)
+    want[A.start:A.stop] = want[D.start:D.stop] = 1
+    wrong = np.flatnonzero(o.deficits != want)
+    if wrong.size:
+        v = wrong[0]
+        raise ConstructionError(f"vertex {v} has deficit {o.deficits[v]}")
+    from_d = np.count_nonzero((o.arcs[:, 0] >= D.start) & (o.arcs[:, 0] < D.stop))
+    if from_d != da:
+        raise ConstructionError(f"{from_d} arcs leave D, expected {da}")
     return o
 
 
-def make_extremal_labelling(g: RegularGraph, seed: int = 0,
-                            budget: int = 200_000) -> Labelling:
+def make_extremal_labelling(g: RegularGraph) -> Labelling:
     """Labelling of a double circulant whose median cut is as small as known.
 
     Target: N/2 + (d-2)^2 + 1 cut edges, N the vertex count. IDs increasing
-    clockwise (outer 1..n, then inner n+1..2n) already achieve the target:
-    away from the wrap-around seam every outer vertex sees its median neighbor
-    above itself and every inner vertex below, so only the matching and the
-    two seams cross. Falls back to seeded annealing if the pattern misses,
-    and raises SearchNotFoundError (carrying the best cut found) if the
-    budget runs out first.
+    clockwise (outer 1..n, then inner n+1..2n) achieve the target: away from
+    the wrap-around seam every outer vertex sees its median neighbor above
+    itself and every inner vertex below, so only the matching and the two
+    seams cross. Raises InvariantError if the pattern ever misses it.
     """
     from .algorithms import median_cut
     from .graphs import cut_size
@@ -331,21 +332,12 @@ def make_extremal_labelling(g: RegularGraph, seed: int = 0,
     _, d = g.family_params
     target = g.n // 2 + (d - 2) ** 2 + 1
     pattern = Labelling(range(1, g.n + 1), origin="clockwise-sequential")
-    if cut_size(g, median_cut(g, pattern)) <= target:
-        return pattern
-
-    from .oracle import adversarial_labelling_search
-
-    lab, achieved = adversarial_labelling_search(
-        g, median_cut, mode="anneal", budget=budget, seed=seed
-    )
-    if achieved <= target:
-        return Labelling(lab.ids, origin=f"anneal(seed={seed},budget={budget})")
-    raise SearchNotFoundError(
-        f"no labelling with median cut <= {target} in {budget} moves "
-        f"(best {achieved})",
-        best=achieved,
-    )
+    size = cut_size(g, median_cut(g, pattern))
+    if size > target:
+        raise InvariantError(
+            f"clockwise-sequential IDs cut {size} edges of {g!r}, target {target}"
+        )
+    return pattern
 
 
 def stuck_sets(d: int) -> dict[str, range]:

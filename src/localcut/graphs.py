@@ -2,7 +2,9 @@
 
 Every graph is d-regular, so it is one (n, d) int64 adjacency array with
 sorted rows; an orientation is an (m, 2) arc array, a cut an int8 side
-array. Immutable means these arrays are read-only after construction.
+array. Immutable means these arrays are read-only after construction. A
+set of vertices, edges or arcs is a boolean mask over the vertices, the
+rows of `edges()` or the rows of `arcs` (`dicut_arcs` is one).
 Vertices are 0..n-1 throughout; IDs (distinct positive integers, kept as
 Python ints) live in a separate Labelling so a graph can carry many.
 """
@@ -139,7 +141,8 @@ class Orientation:
     """An orientation of a RegularGraph: every edge gets exactly one arc.
 
     `arcs` is a read-only (m, 2) int64 array of (tail, head) rows in the
-    order given; `out_degrees` counts each vertex's outgoing arcs.
+    order given; `out_degrees` counts each vertex's outgoing arcs and
+    `deficits` gives each vertex's out-degree minus its in-degree.
     """
 
     def __init__(self, graph: RegularGraph, arcs):
@@ -154,15 +157,10 @@ class Orientation:
         self.arcs = _read_only(arcs)
         self.out_degrees = _read_only(np.bincount(arcs[:, 0], minlength=n))
 
-    def out_degree(self, v: int) -> int:
-        return int(self.out_degrees[v])
-
-    def in_degree(self, v: int) -> int:
-        return self.graph.d - int(self.out_degrees[v])
-
-    def deficit(self, v: int) -> int:
-        """Out-degree minus in-degree (odd whenever d is odd)."""
-        return 2 * int(self.out_degrees[v]) - self.graph.d
+    @property
+    def deficits(self) -> np.ndarray:
+        """Per vertex, out-degree minus in-degree (odd whenever d is odd)."""
+        return 2 * self.out_degrees - self.graph.d
 
     def _arc_keys(self) -> np.ndarray:
         return np.sort(self.arcs[:, 0] * self.graph.n + self.arcs[:, 1])
@@ -182,7 +180,7 @@ class Orientation:
 
 def deficit_partition(o: Orientation) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Split vertices into (V+, V-, V0) by deficit sign."""
-    delta = 2 * o.out_degrees - o.graph.d
+    delta = o.deficits
     return tuple(tuple(np.flatnonzero(m).tolist()) for m in (delta > 0, delta < 0, delta == 0))
 
 
@@ -307,19 +305,15 @@ def cut_size(g: RegularGraph, c: Cut) -> int:
     return g.m - int(same_side_counts(g, c).sum()) // 2
 
 
-def _dicut_mask(o: Orientation, c: Cut) -> np.ndarray:
+def dicut_arcs(o: Orientation, c: Cut) -> np.ndarray:
+    """Boolean mask over the rows of `o.arcs`: the arcs from left to right."""
     _require_cover(o.graph, c)
     return (c.sides[o.arcs[:, 0]] == LEFT) & (c.sides[o.arcs[:, 1]] == RIGHT)
 
 
 def dicut_size(o: Orientation, c: Cut) -> int:
     """Number of arcs from the left side to the right side."""
-    return int(np.count_nonzero(_dicut_mask(o, c)))
-
-
-def dicut_arcs(o: Orientation, c: Cut) -> frozenset[tuple[int, int]]:
-    """The arcs counted by dicut_size, as a set."""
-    return frozenset(map(tuple, o.arcs[_dicut_mask(o, c)].tolist()))
+    return int(np.count_nonzero(dicut_arcs(o, c)))
 
 
 def is_bipartite(g: RegularGraph) -> tuple[bool, Optional[Cut]]:

@@ -1,7 +1,9 @@
 """Closed forms, the flip decomposition, and the integer-exact inequality suite."""
 
+import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -126,14 +128,12 @@ def test_decompose_k4():
     assert dec.big_d == 10  # 3 + 2 + 2 + 3
     assert dec.opt == 4
     assert dec.cut_sizes == (4, 4, 4)
-    assert dec.M == frozenset()
-    assert dec.M_star == frozenset()
-    assert dec.M_one == frozenset()
-    assert dec.E0 == frozenset()
-    assert dec.E1 == frozenset()
-    assert len(dec.F0) == 2  # the edge inside each side
-    assert dec.U0 == frozenset()
-    assert dec.U1 == frozenset()
+    for vertex_set in (dec.M, dec.M_star, dec.M_one, dec.U0, dec.U1):
+        assert vertex_set.tolist() == [False] * 4
+    for edge_set in (dec.E0, dec.E1):
+        assert edge_set.tolist() == [False] * 6
+    # the edge inside each side: (0, 1) and (2, 3) in edges() order
+    assert dec.F0.tolist() == [True, False, False, False, False, True]
 
 
 def test_k4_inequalities_tight():
@@ -154,8 +154,8 @@ def test_decompose_abcd():
     dec = decompose(o, opt)
     assert dec.opt == 10
     assert dec.cut_sizes[0] == 6
-    assert dec.M == frozenset(range(8, 12))  # C u D exactly
-    assert dec.M_star == frozenset()
+    assert np.flatnonzero(dec.M).tolist() == list(range(8, 12))  # C u D exactly
+    assert not dec.M_star.any()
     verdicts = check_inequalities(dec)
     assert all_inequalities_hold(verdicts)
     assert verdicts["eq2"].lhs == verdicts["eq2"].rhs == 6
@@ -175,16 +175,16 @@ def test_decompose_all_optimal_witnesses():
 def test_decomposition_invariants(o):
     _, witness = max_dicut_exact(o)
     dec = decompose(o, witness)
-    assert dec.M_star <= dec.M
-    assert dec.M_one <= dec.M - dec.M_star
-    assert dec.U1 <= dec.U0  # flipping only ever stabilizes
+    assert not np.any(dec.M_star & ~dec.M)
+    assert not np.any(dec.M_one & ~(dec.M & ~dec.M_star))
+    assert not np.any(dec.U1 & ~dec.U0)  # flipping only ever stabilizes
     assert all_inequalities_hold(check_inequalities(dec))
 
 
 def test_check_inequalities_rejects_even_d():
-    dec = k4_decomposition()
+    dec = dataclasses.replace(k4_decomposition(), d=4)
     with pytest.raises(InvalidParameterError):
-        check_inequalities(dec, d=4)
+        check_inequalities(dec)
 
 
 # --- tower and log* ------------------------------------------------------------

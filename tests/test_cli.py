@@ -5,7 +5,19 @@ import json
 
 import pytest
 
-from localcut import cli as cli_mod, median_cut
+from localcut import (
+    BudgetError,
+    CongestionError,
+    ConstructionError,
+    InvalidParameterError,
+    InvariantError,
+    LocalcutError,
+    NonTerminationError,
+    SearchNotFoundError,
+    UnsupportedDegreeError,
+    cli as cli_mod,
+    median_cut,
+)
 from localcut import verify as verify_mod
 from localcut.cli import main
 
@@ -67,21 +79,16 @@ def test_gen_rejects_ids_outside_dnd(tmp_path, capsys, family, extra, ids):
 
 
 def test_gen_rejects_bad_params(tmp_path, capsys):
-    out = str(tmp_path / "g.txt")
-    assert main(["gen", "--family", "cnd", "--n", "9", "--d", "4",
-                 "--out", out]) == 2
-    assert main(["gen", "--family", "stuck1flip", "--d", "4",
-                 "--out", out]) == 2
+    expect_exit(tmp_path, capsys, "gen-cnd-odd-n")
+    expect_exit(tmp_path, capsys, "gen-stuck1flip-even-d")
 
 
 def test_gen_stuck_over_budget_is_exit_3(tmp_path, capsys):
-    out = str(tmp_path / "g.txt")
-    assert main(["gen", "--family", "stuck1flip", "--d", "5", "--out", out]) == 3
+    expect_exit(tmp_path, capsys, "gen-stuck1flip-over-budget")
 
 
 def test_gen_unwritable_path_is_exit_2(tmp_path, capsys):
-    assert main(["gen", "--family", "cnd", "--n", "8", "--d", "2",
-                 "--out", str(tmp_path / "no" / "such" / "dir.txt")]) == 2
+    expect_exit(tmp_path, capsys, "gen-unwritable-path")
 
 
 # --- run -------------------------------------------------------------------------
@@ -101,16 +108,11 @@ def test_run_median_record(tmp_path, capsys):
 
 
 def test_run_median_needs_odd_degree(tmp_path, capsys):
-    path = gen(tmp_path, "g.txt", "--family", "cnd", "--n", "8", "--d", "2")
-    capsys.readouterr()
-    assert main(["run", "--algo", "median", "--graph", path]) == 2
+    expect_exit(tmp_path, capsys, "run-median-even-d")
 
 
 def test_run_median_ids_file_missing_section(tmp_path, capsys):
-    path = gen(tmp_path, "g.txt", "--family", "random", "--n", "16", "--d", "3")
-    capsys.readouterr()
-    assert main(["run", "--algo", "median", "--graph", path,
-                 "--ids", "file"]) == 2
+    expect_exit(tmp_path, capsys, "run-median-ids-file-missing")
 
 
 def test_run_median_congest_b1(tmp_path, capsys):
@@ -136,9 +138,7 @@ def test_run_median_disagreement_is_exit_1_without_traceback(tmp_path, monkeypat
 
 
 def test_run_oriented_median_needs_directed_file(tmp_path, capsys):
-    path = gen(tmp_path, "g.txt", "--family", "dnd", "--n", "12", "--d", "5")
-    capsys.readouterr()
-    assert main(["run", "--algo", "oriented-median", "--graph", path]) == 2
+    expect_exit(tmp_path, capsys, "run-oriented-median-undirected")
 
 
 def test_run_oriented_median_clockwise(tmp_path, capsys):
@@ -281,21 +281,16 @@ def test_oracle_abcd_opt(tmp_path, capsys):
 
 
 def test_oracle_over_budget_is_exit_3(tmp_path, capsys):
-    path = gen(tmp_path, "g.txt", "--family", "random", "--n", "32", "--d", "3",
-               "--seed", "1")
-    capsys.readouterr()
-    assert main(["oracle", "--graph", path]) == 3
+    expect_exit(tmp_path, capsys, "oracle-over-budget")
 
 
-def test_missing_graph_file_is_exit_2(capsys):
-    assert main(["oracle", "--graph", "/definitely/not/here.txt"]) == 2
+def test_missing_graph_file_is_exit_2(tmp_path, capsys):
+    expect_exit(tmp_path, capsys, "oracle-missing-file")
 
 
 def test_oracle_rejects_negative_header(tmp_path, capsys):
-    path = tmp_path / "g.txt"
-    path.write_text("-1 0 3 U\n")
-    assert main(["oracle", "--graph", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: bad header")
+    assert expect_exit(tmp_path, capsys, "oracle-negative-header").startswith(
+        "error: bad header")
 
 
 @pytest.mark.parametrize("flag", ["--rounds", "--flips"])
@@ -306,3 +301,85 @@ def test_run_rejects_negative_counts(tmp_path, capsys, flag):
         main(["run", "--algo", "dflip", "--graph", path, flag, "-3"])
     assert err.value.code == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+# --- exit codes -------------------------------------------------------------------
+
+# Graph files an argv below may name as {key}, written with `gen` first.
+GRAPH_FILES = {
+    "cnd": ["--family", "cnd", "--n", "8", "--d", "2"],
+    "dnd": ["--family", "dnd", "--n", "12", "--d", "5"],
+    "dnd_ids": ["--family", "dnd", "--n", "6", "--d", "3", "--ids", "identity"],
+    "random": ["--family", "random", "--n", "16", "--d", "3"],
+    "random32": ["--family", "random", "--n", "32", "--d", "3", "--seed", "1"],
+}
+
+# argv -> exit code of every handled error; {tmp} is the test's directory,
+# {out} a fresh file in it, {bad_header} a file holding "-1 0 3 U".
+EXIT_CODES = {
+    "gen-cnd-odd-n": (["gen", "--family", "cnd", "--n", "9", "--d", "4", "--out", "{out}"], 2),
+    "gen-stuck1flip-even-d": (["gen", "--family", "stuck1flip", "--d", "4", "--out", "{out}"], 2),
+    "gen-ids-outside-dnd": (["gen", "--family", "cnd", "--n", "12", "--d", "4",
+                             "--ids", "extremal", "--out", "{out}"], 2),
+    "gen-unwritable-path": (["gen", "--family", "cnd", "--n", "8", "--d", "2",
+                             "--out", "{tmp}/no/such/dir.txt"], 2),
+    "gen-stuck1flip-over-budget": (["gen", "--family", "stuck1flip", "--d", "5",
+                                    "--out", "{out}"], 3),
+    "run-median-even-d": (["run", "--algo", "median", "--graph", "{cnd}"], 2),
+    "run-median-ids-file-missing": (["run", "--algo", "median", "--graph", "{random}",
+                                     "--ids", "file"], 2),
+    "run-median-congest-b-0": (["run", "--algo", "median", "--graph", "{dnd_ids}",
+                                "--ids", "file", "--congest-b", "0"], 2),
+    "run-oriented-median-undirected": (["run", "--algo", "oriented-median",
+                                        "--graph", "{dnd}"], 2),
+    "oracle-missing-file": (["oracle", "--graph", "{tmp}/not/here.txt"], 2),
+    "oracle-directory": (["oracle", "--graph", "{tmp}"], 2),
+    "oracle-negative-header": (["oracle", "--graph", "{bad_header}"], 2),
+    "oracle-over-budget": (["oracle", "--graph", "{random32}"], 3),
+}
+
+
+def expect_exit(tmp_path, capsys, case):
+    """Run one EXIT_CODES row; return its stderr, a single `error:` line."""
+    argv, code = EXIT_CODES[case]
+    paths = {"tmp": str(tmp_path), "out": str(tmp_path / "out.txt"),
+             "bad_header": str(tmp_path / "bad_header.txt")}
+    (tmp_path / "bad_header.txt").write_text("-1 0 3 U\n")
+    for key, gen_argv in GRAPH_FILES.items():
+        if "{%s}" % key in argv:
+            paths[key] = gen(tmp_path, key + ".txt", *gen_argv)
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODES))
+def test_exit_code_table(tmp_path, capsys, case):
+    expect_exit(tmp_path, capsys, case)
+
+
+@pytest.mark.parametrize("error,code", [
+    (InvalidParameterError("bad"), 2),
+    (UnsupportedDegreeError("bad"), 2),
+    (FileNotFoundError("gone"), 2),
+    (BudgetError("big"), 3),
+    (SearchNotFoundError("none"), 3),
+    (ConstructionError("stuck"), 3),
+    (CongestionError(0, 1, 2, 3, 1), 1),
+    (NonTerminationError("slow"), 1),
+    (InvariantError("bug"), 1),
+    (LocalcutError("other"), 1),
+])
+def test_main_maps_each_error_class_to_its_exit_code(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "cmd_verify", fail)
+    assert main(["verify", "--suite", "claim1"]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {error}\n"

@@ -7,6 +7,7 @@ from localcut import (
     ConstructionError,
     Cut,
     InvalidParameterError,
+    InvariantError,
     Orientation,
     SearchNotFoundError,
     abcd_sets,
@@ -29,6 +30,7 @@ from localcut import (
     stuck_sets,
     validate_regular,
 )
+from localcut import graphs as graphs_mod
 from localcut.generators import _realize_bipartite
 
 
@@ -88,15 +90,13 @@ def test_orient_clockwise_circulant():
     arcs = o.arcs.tolist()
     assert [0, 1] in arcs and [0, 3] in arcs
     assert [11, 0] in arcs  # wraps forward
-    assert all(o.deficit(v) == 0 for v in range(12))
+    assert o.deficits.tolist() == [0] * 12
 
 
 def test_orient_clockwise_double_circulant_deficits():
     o = orient_clockwise(make_double_circulant(8, 5))
-    for v in range(8):
-        assert o.deficit(v) == 1  # outer: matching arc points inward
-    for v in range(8, 16):
-        assert o.deficit(v) == -1
+    # outer: matching arc points inward
+    assert o.deficits.tolist() == [1] * 8 + [-1] * 8
 
 
 def test_orient_clockwise_needs_family_metadata():
@@ -150,7 +150,7 @@ def test_random_regular_handles_degree_seven():
 def test_make_id_orientation():
     g = complete_graph(4)
     o = make_id_orientation(g, identity_labelling(4))
-    assert [o.deficit(v) for v in range(4)] == [3, 1, -1, -3]
+    assert o.deficits.tolist() == [3, 1, -1, -3]
     assert [0, 3] in o.arcs.tolist()
 
 
@@ -203,9 +203,7 @@ def test_abcd_instance_structure(d, t):
     g = o.graph
     assert validate_regular(g.adj, d)
     A, B, C, D = abcd_sets(d, n)
-    for v in range(n):
-        want = 1 if (v in A or v in D) else -1
-        assert o.deficit(v) == want
+    assert o.deficits.tolist() == [1 if (v in A or v in D) else -1 for v in range(n)]
     # the deficit cut crosses exactly the n/2 A->B arcs
     algo = Cut.from_left_set(n, set(A) | set(D))
     assert dicut_size(o, algo) == n // 2
@@ -235,10 +233,25 @@ def test_extremal_labelling_hits_known_values():
     lab_h = make_extremal_labelling(h)
     assert cut_size(h, median_cut(h, lab_h)) == 8
 
+    # the clockwise pattern meets N/2 + (d-2)^2 + 1 exactly, smallest half up
+    for d, halves in ((3, (4, 10, 98)), (5, (8, 30, 64)), (7, (12, 50)),
+                      (9, (16, 40)), (11, (20, 198))):
+        for half in halves:
+            g = make_double_circulant(half, d)
+            lab = make_extremal_labelling(g)
+            assert lab.origin == "clockwise-sequential"
+            assert cut_size(g, median_cut(g, lab)) == half + (d - 2) ** 2 + 1
+
 
 def test_extremal_labelling_needs_double_circulant():
     with pytest.raises(InvalidParameterError):
         make_extremal_labelling(complete_graph(4))
+
+
+def test_extremal_labelling_miss_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(graphs_mod, "cut_size", lambda g, c: g.m)
+    with pytest.raises(InvariantError, match="target 8"):
+        make_extremal_labelling(make_double_circulant(6, 3))
 
 
 # --- single-flip-stuck instance ---------------------------------------------

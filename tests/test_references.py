@@ -10,6 +10,7 @@ port-by-port engine and the copy-on-write programs they replaced.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,8 +28,10 @@ from localcut import (
     Orientation,
     RIGHT,
     RegularGraph,
+    check_inequalities,
     complete_graph,
     cut_size,
+    decompose,
     dicut_arcs,
     dicut_size,
     distributed_flip_step,
@@ -38,6 +41,7 @@ from localcut import (
     make_id_orientation,
     make_random_orientation,
     make_random_regular,
+    max_dicut_exact,
     median_cut,
     oriented_median_cut,
     random_cut,
@@ -90,12 +94,17 @@ def ref_median_sides(adj, ids):
     return sides
 
 
-def ref_deficit_sides(arcs, n):
-    """Deficit-sign sides, or None when some vertex has deficit 0."""
+def ref_deficits(arcs, n):
     deficit = [0] * n
     for t, h in arcs:
         deficit[t] += 1
         deficit[h] -= 1
+    return deficit
+
+
+def ref_deficit_sides(arcs, n):
+    """Deficit-sign sides, or None when some vertex has deficit 0."""
+    deficit = ref_deficits(arcs, n)
     if 0 in deficit:
         return None
     return [LEFT if delta > 0 else RIGHT for delta in deficit]
@@ -138,6 +147,78 @@ def ref_sequential_flip(adj, sides, pick):
             return sides
         v = pick(candidates)
         sides[v] = 1 - sides[v]
+
+
+def ref_decompose(adj, arcs, opt_sides):
+    """The set-based flip decomposition, built only from the references above."""
+    n, d = len(adj), len(adj[0])
+    edges = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v]
+    out = [0] * n
+    for t, _ in arcs:
+        out[t] += 1
+    c0 = ref_deficit_sides(arcs, n)
+    c1 = ref_unstable_flip(adj, c0)
+    c2 = ref_unstable_flip(adj, c1)
+    plus = frozenset(v for v in range(n) if c0[v] == LEFT)
+    v1 = frozenset(v for v in range(n) if opt_sides[v] == LEFT)
+    M = frozenset(v for v in range(n) if (v in v1) != (v in plus))
+    M_star = frozenset(v for v in M if abs(2 * out[v] - d) >= 3)
+    U0 = frozenset(range(n)) - ref_stable(adj, c0)
+    U1 = frozenset(range(n)) - ref_stable(adj, c1)
+    m_plus = M & plus
+    m_minus = M - plus
+
+    def in_e0(u, v):
+        for x, y in ((u, v), (v, u)):
+            if x not in plus and y in m_plus:
+                return True
+            if x in m_minus and y in plus:
+                return True
+        return (u in m_plus and v in m_plus) or (u in m_minus and v in m_minus)
+
+    E0 = frozenset((u, v) for u, v in edges if in_e0(u, v))
+    E1 = frozenset(
+        (t, h) for t, h in arcs
+        if (t in plus and h in plus and t not in U0 and h in U0)
+        or (t not in plus and h not in plus and t in U0 and h not in U0)
+    )
+    F0 = frozenset(
+        (u, v) for u, v in edges
+        if u not in M and v not in M and (u in plus) == (v in plus)
+    )
+    touched = {v for e in E0 for v in e} | {v for a in E1 for v in a}
+    M_one = frozenset(v for v in M - M_star if v not in touched)
+    return {
+        "d": d, "n": n,
+        "big_d": sum(out[v] if v in plus else d - out[v] for v in range(n)),
+        "opt": len(ref_dicut_arcs(arcs, opt_sides)),
+        "cut_sizes": tuple(len(ref_dicut_arcs(arcs, c)) for c in (c0, c1, c2)),
+        "M": M, "M_star": M_star, "M_one": M_one, "E0": E0, "E1": E1,
+        "F0": F0, "U0": U0, "U1": U1,
+    }
+
+
+def ref_inequalities(dec):
+    """(lhs, rhs) of every flip inequality, from the set sizes of ref_decompose."""
+    d, n, opt, big_d = dec["d"], dec["n"], dec["opt"], dec["big_d"]
+    cut0, cut1, cut2 = dec["cut_sizes"]
+    msize, mstar, f0 = len(dec["M"]), len(dec["M_star"]), len(dec["F0"])
+    base = opt - (d - 1) // 2 * msize
+    e0 = base + len(dec["E0"])
+    e1 = e0 + len(dec["E1"])
+    u1 = e1 + len(dec["U1"])
+    return {
+        "eq1": (cut0, big_d - d * n // 2),
+        "eq1_half": (big_d - d * n // 2, -(-n // 2)),
+        "eq2": (cut0, base),
+        "eq2bis": (cut0, e0),
+        "eq2ter": (cut1, e1),
+        "eq2quater": (cut2, u1),
+        "eq3": (big_d - msize, 2 * opt),
+        "eq3bis": (big_d - msize - f0, 2 * opt),
+        "eq3ter": (big_d - msize - f0 - mstar, 2 * opt),
+        "eq2c": (cut2, u1 + mstar),
+    }
 
 
 def ref_run(program, g, lab, bit_limit=None, max_rounds=None):
@@ -282,6 +363,16 @@ class StaggeredProgram(NodeProgram):
         return (own_id, seen), msgs, None
 
 
+def vertex_set(mask):
+    return set(np.flatnonzero(mask).tolist())
+
+
+def row_set(rows, mask):
+    """The (u, v) rows a boolean mask over `rows` selects."""
+    assert mask.shape == (len(rows),) and mask.dtype == bool
+    return set(map(tuple, rows[mask].tolist()))
+
+
 # --- instances -------------------------------------------------------------------
 
 @st.composite
@@ -305,8 +396,8 @@ def test_cut_rules_match_loops(case):
     assert validate_regular(g.adj, g.d) and ref_validate_regular(adj, g.d)
     assert cut_size(g, c) == ref_cut_size(adj, sides)
     assert dicut_size(o, c) == len(ref_dicut_arcs(arcs, sides))
-    assert dicut_arcs(o, c) == ref_dicut_arcs(arcs, sides)
-    assert stable_vertices(g, c) == ref_stable(adj, sides)
+    assert row_set(o.arcs, dicut_arcs(o, c)) == ref_dicut_arcs(arcs, sides)
+    assert vertex_set(stable_vertices(g, c)) == ref_stable(adj, sides)
     assert unstable_flip_step(o, c).sides.tolist() == ref_unstable_flip(adj, sides)
     assert distributed_flip_step(g, c).sides.tolist() == ref_distributed_flip(adj, sides)
     assert is_maximal_cut(g, c) is ref_is_maximal(adj, sides)
@@ -318,6 +409,7 @@ def test_median_and_deficit_rules_match_loops(case, seed):
     o, _ = case
     g = o.graph
     adj, arcs = g.adj.tolist(), o.arcs.tolist()
+    assert o.deficits.tolist() == ref_deficits(arcs, g.n)
     want = ref_deficit_sides(arcs, g.n)
     if want is None:
         with pytest.raises(InvalidParameterError):
@@ -343,6 +435,52 @@ def test_median_with_ids_beyond_int64(low):
     arcs = make_id_orientation(g, lab).arcs.tolist()
     assert all(ids[t] < ids[h] for t, h in arcs)
     assert ref_deficit_sides(arcs, g.n) == want
+
+
+# --- flip decomposition --------------------------------------------------------------
+
+@st.composite
+def odd_degree_orientations(draw):
+    """A random orientation with odd d and n <= 20, plus a cut that plays OPT."""
+    d = draw(st.sampled_from([1, 3, 5, 7]))
+    n = draw(st.integers(min_value=(d + 2) // 2 + 1, max_value=10)) * 2
+    g = make_random_regular(n, d, seed=draw(seeds))
+    o = make_random_orientation(g, seed=draw(seeds))
+    if draw(st.booleans()):
+        return o, max_dicut_exact(o)[1]
+    # decompose trusts its witness; the masks must match the sets for any cut
+    return o, Cut(draw(st.lists(st.sampled_from([LEFT, RIGHT]), min_size=n, max_size=n)))
+
+
+@given(odd_degree_orientations())
+@settings(max_examples=150)
+def test_decomposition_matches_set_reference(case):
+    o, opt_cut = case
+    g = o.graph
+    arcs = [tuple(a) for a in o.arcs.tolist()]
+    ref = ref_decompose(g.adj.tolist(), arcs, opt_cut.sides.tolist())
+    dec = decompose(o, opt_cut)
+    assert (dec.d, dec.n, dec.big_d, dec.opt, dec.cut_sizes) == tuple(
+        ref[k] for k in ("d", "n", "big_d", "opt", "cut_sizes"))
+    for name in ("M", "M_star", "M_one", "U0", "U1"):
+        mask = getattr(dec, name)
+        assert mask.shape == (g.n,) and mask.dtype == bool
+        assert vertex_set(mask) == ref[name], name
+    for name in ("E0", "F0"):
+        assert row_set(g.edges(), getattr(dec, name)) == ref[name], name
+    assert row_set(o.arcs, dec.E1) == ref["E1"]
+    verdicts = check_inequalities(dec)
+    assert {k: (v.lhs, v.rhs) for k, v in verdicts.items()} == ref_inequalities(ref)
+    assert all(type(v.lhs) is int and type(v.rhs) is int and type(v.holds) is bool
+               for v in verdicts.values())
+
+
+def test_decomposition_masks_are_read_only():
+    o = make_id_orientation(complete_graph(4), identity_labelling(4))
+    dec = decompose(o, Cut.from_left_set(4, [0, 1]))
+    for name in ("M", "M_star", "M_one", "E0", "E1", "F0", "U0", "U1"):
+        with pytest.raises(ValueError):
+            getattr(dec, name)[0] = True
 
 
 # --- round simulator ---------------------------------------------------------------
