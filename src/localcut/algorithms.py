@@ -11,6 +11,7 @@ FLIP and maximality share one per-vertex count, `same_side_counts`.
 
 from __future__ import annotations
 
+import heapq
 import random
 from typing import Callable, Union
 
@@ -96,31 +97,49 @@ def sequential_flip_to_maximal(g: RegularGraph, c: Cut,
 
     Each flip grows the cut, so at most m flips happen and the result is at
     least m/2. `order` picks among improving vertices: "lowest" (default),
-    "highest", or a callable receiving the ascending candidate list.
+    "highest", or a callable receiving the ascending candidate list. The
+    named policies keep the candidates in a heap with lazy deletion, so a
+    flip costs O(d log n); a callable gets the full list, O(n) per flip.
     """
-    if order == "lowest":
-        pick = min
-    elif order == "highest":
-        pick = max
-    elif callable(order):
-        pick = order
-    else:
+    if order not in ("lowest", "highest") and not callable(order):
         raise InvalidParameterError(f"unknown order policy {order!r}")
     if c.n != g.n:
         raise InvalidParameterError(f"cut covers {c.n} vertices, graph has {g.n}")
-    sides = c.sides.copy()
+    d, sides = g.d, c.sides.copy()
     same = same_side_counts(g, c)
+    if callable(order):
+        for flips in range(g.m + 1):
+            candidates = np.flatnonzero(2 * same > d)
+            if not candidates.size:
+                return Cut(sides)
+            v = order(candidates.tolist())
+            # only v and its d neighbours change their same-side counts
+            sides[v] ^= 1
+            same[v] = d - same[v]
+            nbrs = g.adj[v]
+            same[nbrs] += np.where(sides[nbrs] == sides[v], 1, -1)
+        raise InvariantError("more than m improving flips; cut bookkeeping bug")
+    # heap keys are v ("lowest") or -v ("highest"); an entry whose vertex
+    # has stopped improving is dropped when it surfaces
+    sign = 1 if order == "lowest" else -1
+    heap = (sign * np.flatnonzero(2 * same > d)).tolist()
+    heapq.heapify(heap)
+    adj, sides, same = g.adj.tolist(), sides.tolist(), same.tolist()
+    improving = d // 2 + 1  # the least same-side count that makes a flip pay
     flips = 0
-    while True:
-        candidates = np.flatnonzero(2 * same > g.d)
-        if not candidates.size:
-            break
-        v = pick(candidates.tolist())
-        # only v and its d neighbours change their same-side counts
-        sides[v] ^= 1
-        same[v] = g.d - same[v]
-        nbrs = g.adj[v]
-        same[nbrs] += np.where(sides[nbrs] == sides[v], 1, -1)
+    while heap:
+        v = sign * heapq.heappop(heap)
+        if same[v] < improving:
+            continue
+        side = sides[v] = sides[v] ^ 1
+        same[v] = d - same[v]
+        for u in adj[v]:
+            if sides[u] == side:
+                same[u] += 1
+                if same[u] == improving:
+                    heapq.heappush(heap, sign * u)
+            else:
+                same[u] -= 1
         flips += 1
         if flips > g.m:
             raise InvariantError("more than m improving flips; cut bookkeeping bug")

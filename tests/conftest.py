@@ -1,4 +1,6 @@
+import io
 import random
+import re
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -10,6 +12,7 @@ from localcut import (
     make_random_orientation,
     make_random_regular,
     random_labelling,
+    write_graph,
 )
 
 # Oracle-backed properties can take a while per example; wall-clock deadlines
@@ -51,6 +54,85 @@ def labelling_for(n: int, seed: int) -> Labelling:
         random.Random(seed).shuffle(ids)
         return Labelling(ids)
     return random_labelling(n, seed=seed)
+
+
+# --- graph files and their mutations ------------------------------------------
+
+@st.composite
+def graph_files(draw):
+    """The text of a valid graph file: undirected or directed, with or
+    without an IDS section, degrees 0 to 5."""
+    seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+    d = draw(st.integers(min_value=0, max_value=5))
+    n = draw(st.integers(min_value=d + 1, max_value=16))
+    n += (n * d) % 2
+    obj = make_random_regular(n, d, seed=draw(seeds))
+    if draw(st.booleans()):
+        obj = make_random_orientation(obj, seed=draw(seeds))
+    lab = labelling_for(n, draw(seeds)) if draw(st.booleans()) else None
+    buf = io.StringIO()
+    write_graph(buf, obj, lab)
+    return buf.getvalue()
+
+
+FLIP_CHARS = st.one_of(st.sampled_from(list("0123456789 \t\n\r\v\f\x1c\x1f+-_xIDSUD")),
+                       st.characters(max_codepoint=255))
+
+
+def _replace_token(text, draw, make):
+    """Replace one whitespace-separated token (drawn) by make(token)."""
+    spans = [m.span() for m in re.finditer(r"[^\s]+", text)]
+    if not spans:
+        return text
+    a, b = draw(st.sampled_from(spans))
+    return text[:a] + make(text[a:b]) + text[b:]
+
+
+def _insert_line(text, draw, line):
+    lines = text.split("\n")
+    i = draw(st.integers(min_value=0, max_value=len(lines)))
+    return "\n".join(lines[:i] + [line] + lines[i:])
+
+
+def _flip(text, draw):
+    i = draw(st.integers(min_value=0, max_value=max(len(text) - 1, 0)))
+    return text[:i] + draw(FLIP_CHARS) + text[i + 1:]
+
+
+MUTATIONS = {
+    "flip": _flip,
+    "crlf": lambda t, draw: t.replace("\n", "\r\n"),
+    "blank": lambda t, draw: _insert_line(
+        t, draw, draw(st.sampled_from(["", " ", "\t\r", "\x1c", "\x0b \x0c"]))),
+    "separator": lambda t, draw: t.replace(" ", draw(st.sampled_from(
+        ["\x1c", "\x1d", "\x1e", "\x1f", "\t", " \x1c "])), draw(st.integers(1, 5))),
+    "plus": lambda t, draw: _replace_token(t, draw, lambda tok: "+" + tok),
+    "wide": lambda t, draw: _replace_token(t, draw, lambda tok: draw(st.sampled_from(
+        [tok.zfill(19), tok.zfill(25), str(10 ** 18 + len(tok)), "9" * 19, "1" + "0" * 30]))),
+    "huge-id": lambda t, draw: _replace_token(t, draw, lambda tok: str(draw(st.sampled_from(
+        [2 ** 63 - 1, 2 ** 63, 2 ** 64 + 5, 10 ** 40])))),
+    "drop-ids-line": lambda t, draw: re.sub(r"(?m)^IDS\n", "", t),
+    "extra-ids-line": lambda t, draw: _insert_line(t, draw, "IDS"),
+}
+
+
+@st.composite
+def mutated_graph_files(draw):
+    """A valid graph file after up to three drawn mutations: flipped
+    characters, CRLF endings, blank lines, other separators, "+3", tokens of
+    19 or more digits, IDs of 2^63 and beyond, a dropped or extra IDS line."""
+    text = draw(graph_files())
+    for kind in draw(st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=3)):
+        text = MUTATIONS[kind](text, draw)
+    return text
+
+
+def text_source(text, universal_newlines):
+    """A text stream over `text`: as a file opened in text mode would give
+    it (ASCII, universal newlines), or as an in-memory string."""
+    if universal_newlines:
+        return io.TextIOWrapper(io.BytesIO(text.encode("latin-1")), encoding="ascii")
+    return io.StringIO(text)
 
 
 @pytest.fixture

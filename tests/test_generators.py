@@ -1,5 +1,10 @@
 """Instance generators: structure, determinism, frozen family values."""
 
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,8 +35,9 @@ from localcut import (
     stuck_sets,
     validate_regular,
 )
+import localcut
 from localcut import graphs as graphs_mod
-from localcut.generators import _realize_bipartite
+from localcut.generators import _pairing_attempt, _realize_bipartite
 
 
 # --- circulant families ---------------------------------------------------
@@ -145,6 +151,32 @@ def test_random_regular_handles_degree_seven():
     # dense enough that naive full restarts would essentially never finish
     g = make_random_regular(16, 7, seed=0)
     assert validate_regular(g.adj, 7)
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_random_regular_on_d_plus_one_vertices_is_complete(d):
+    # one graph fits: most stubs go through the re-pairing loop, which
+    # cannot get stuck here, as each missing edge joins two leftover vertices
+    for seed in range(5):
+        assert make_random_regular(d + 1, d, seed=seed) == complete_graph(d + 1)
+
+
+def test_random_regular_raises_once_restarts_run_out():
+    stuck = next(seed for seed in range(1000)
+                 if _pairing_attempt(12, 3, random.Random(seed)) is None)
+    with pytest.raises(ConstructionError, match="1 restarts"):
+        make_random_regular(12, 3, seed=stuck, max_restarts=1)
+    assert validate_regular(make_random_regular(12, 3, seed=stuck).adj, 3)
+
+
+def test_random_regular_leaves_numpy_random_unimported():
+    # numpy.random alone adds about 6 MB to a process
+    code = ("import sys, localcut; localcut.make_random_regular(100, 5, seed=1); "
+            "print('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(localcut.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_make_id_orientation():

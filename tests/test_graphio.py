@@ -3,12 +3,13 @@
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from localcut import (
     InvalidParameterError,
     Labelling,
     Orientation,
+    RegularGraph,
     graph_to_text,
     identity_labelling,
     make_double_circulant,
@@ -19,7 +20,7 @@ from localcut import (
     write_graph,
 )
 
-from conftest import oriented_graphs, small_regular_graphs
+from conftest import mutated_graph_files, oriented_graphs, small_regular_graphs, text_source
 
 
 @given(small_regular_graphs())
@@ -130,7 +131,8 @@ def test_non_ascii_file_rejected(tmp_path):
         read_graph(str(path))
 
 
-@pytest.mark.parametrize("header", ["-1 0 3 U", "0 0 0 U", "4 4 -2 U"])
+@pytest.mark.parametrize("header", ["-1 0 3 U", "0 0 0 U", "4 4 -2 U",
+                                    "4294967296 0 0 U", "9223372036854775807 0 0 U"])
 def test_inconsistent_header_rejected(header):
     with pytest.raises(InvalidParameterError, match="bad header"):
         read_graph(io.StringIO(header + "\n"))
@@ -148,3 +150,25 @@ def test_family_metadata_does_not_survive():
     assert back == g          # equality ignores family on purpose
     assert back.family is None
     assert g.family is not None
+
+
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=200),
+    st.text(alphabet="0123456789 \t\r\n\x0b\x1cUDIS+", max_size=200),
+    mutated_graph_files(),
+), st.booleans())
+@settings(max_examples=300)
+def test_any_input_parses_or_is_invalid(data, universal_newlines):
+    if isinstance(data, bytes):
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="ascii",
+                                  newline=None if universal_newlines else "")
+    else:
+        source = text_source(data, universal_newlines and data.isascii())
+    try:
+        obj, lab = read_graph(source)
+    except InvalidParameterError:
+        return
+    g = obj.graph if isinstance(obj, Orientation) else obj
+    assert isinstance(g, RegularGraph)
+    assert lab is None or (isinstance(lab, Labelling) and lab.n == g.n)

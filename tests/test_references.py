@@ -45,6 +45,7 @@ from localcut import (
     median_cut,
     oriented_median_cut,
     random_cut,
+    read_graph,
     run,
     sequential_flip_to_maximal,
     stable_vertices,
@@ -52,8 +53,9 @@ from localcut import (
     validate_regular,
 )
 from localcut.congest import RoundTrace, decode_id, encode_id
+from localcut.graphs import same_side_counts
 
-from conftest import FaultyProgram, labelling_for
+from conftest import FaultyProgram, labelling_for, mutated_graph_files, text_source
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -147,6 +149,21 @@ def ref_sequential_flip(adj, sides, pick):
             return sides
         v = pick(candidates)
         sides[v] = 1 - sides[v]
+
+
+def ref_flip_by_scan(g, c, pick):
+    """The O(n)-per-flip loop: rebuild the candidate list after each flip."""
+    sides = c.sides.copy()
+    same = same_side_counts(g, c)
+    while True:
+        candidates = np.flatnonzero(2 * same > g.d)
+        if not candidates.size:
+            return sides.tolist()
+        v = pick(candidates.tolist())
+        sides[v] ^= 1
+        same[v] = g.d - same[v]
+        nbrs = g.adj[v]
+        same[nbrs] += np.where(sides[nbrs] == sides[v], 1, -1)
 
 
 def ref_decompose(adj, arcs, opt_sides):
@@ -371,6 +388,67 @@ def row_set(rows, mask):
     """The (u, v) rows a boolean mask over `rows` selects."""
     assert mask.shape == (len(rows),) and mask.dtype == bool
     return set(map(tuple, rows[mask].tolist()))
+
+
+def ref_pair_tokens(lines, what):
+    """The tokens of lines that each hold two plain non-negative integers."""
+    tokens = " ".join(lines).split()
+    if (len(tokens) != 2 * len(lines) or any(map(str.isdigit, lines))
+            or (tokens and not "".join(tokens).isdigit())):
+        bad = next(ln for ln in lines
+                   if len(ln.split()) != 2 or not all(map(str.isdigit, ln.split())))
+        raise InvalidParameterError(f"bad {what} line {bad!r}")
+    return tokens
+
+
+def ref_read_graph(source):
+    """The line-by-line parser: strips every line, joins and splits tokens.
+
+    One line differs from the original (marked "cap"): headers with
+    n >= 2^32 are rejected; without it, n = 10^18 with d = 0 made
+    RegularGraph.from_edges raise numpy's ValueError.
+    """
+    try:
+        text = source.read()
+    except UnicodeDecodeError:
+        text = None
+    if text is None or not text.isascii():
+        raise InvalidParameterError("graph file is not ASCII text")
+    lines = [ln for ln in (raw.strip() for raw in text.split("\n")) if ln]
+    if not lines:
+        raise InvalidParameterError("empty graph file")
+    head = lines[0].split()
+    if (len(head) != 4 or head[3] not in ("U", "D")
+            or not all(map(str.isdigit, head[:3]))):
+        raise InvalidParameterError(f"bad header {lines[0]!r}")
+    n, m, d = (int(t) for t in head[:3])
+    if not 1 <= n < 2 ** 32 or 2 * m != n * d:  # cap
+        raise InvalidParameterError(
+            f"bad header {lines[0]!r}: need 1 <= n < 2^32, d >= 0 and m = n*d/2"
+        )
+    directed = head[3] == "D"
+    if len(lines) < 1 + m:
+        raise InvalidParameterError(f"expected {m} edge lines, found {len(lines) - 1}")
+    try:
+        pairs = np.array(ref_pair_tokens(lines[1:1 + m], "edge"), dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise InvalidParameterError("an edge names a vertex beyond 64 bits") from None
+    lab = None
+    rest = lines[1 + m:]
+    if rest:
+        if rest[0] != "IDS" or len(rest) != 1 + n:
+            raise InvalidParameterError("trailing content is not a valid IDS section")
+        tokens = ref_pair_tokens(rest[1:], "ID")
+        ids = [None] * n
+        for ln, v, vid in zip(rest[1:], map(int, tokens[0::2]), tokens[1::2]):
+            if v >= n or ids[v] is not None:
+                raise InvalidParameterError(f"bad or repeated vertex in ID line {ln!r}")
+            ids[v] = int(vid)
+        lab = Labelling(ids)
+    graph = RegularGraph.from_edges(n, pairs, d=d)
+    if directed:
+        return Orientation(graph, pairs), lab
+    return graph, lab
 
 
 # --- instances -------------------------------------------------------------------
@@ -622,6 +700,18 @@ def test_sequential_flip_matches_recounting_loop(case, policy):
         assert sequential_flip_to_maximal(g, Cut(sides), policy).sides.tolist() == want
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("seed", range(21))
+def test_heap_policies_match_the_scanning_loop(seed, d):
+    n = 100 * (seed % 20 + 1)  # 100 .. 2000
+    g = make_random_regular(n, d, seed=seed)
+    start = random_cut(g, seed=seed)
+    for policy, pick in (("lowest", min), ("highest", max)):
+        got = sequential_flip_to_maximal(g, start, policy)
+        assert got.sides.tolist() == ref_flip_by_scan(g, start, pick)
+        assert is_maximal_cut(g, got)
+
+
 # --- seeded generators ------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(51))
@@ -633,6 +723,52 @@ def test_random_streams_equal_one_bit_draws(seed):
     rng = random.Random(seed)
     want = [[u, v] if rng.getrandbits(1) else [v, u] for u, v in g.edges().tolist()]
     assert make_random_orientation(g, seed).arcs.tolist() == want
+
+
+# --- graph files -----------------------------------------------------------------
+
+def parse_outcome(parser, text, universal_newlines):
+    """What a parser makes of `text`: its graph, arcs and IDs, or its error."""
+    try:
+        obj, lab = parser(text_source(text, universal_newlines))
+    except InvalidParameterError as exc:
+        return "error", str(exc)
+    g = obj.graph if isinstance(obj, Orientation) else obj
+    arcs = obj.arcs.tolist() if isinstance(obj, Orientation) else None
+    return type(obj), g.adj.tolist(), arcs, None if lab is None else lab.ids
+
+
+@given(mutated_graph_files(), st.booleans())
+@settings(max_examples=300)
+def test_byte_parser_matches_line_parser(text, universal_newlines):
+    assert (parse_outcome(read_graph, text, universal_newlines)
+            == parse_outcome(ref_read_graph, text, universal_newlines))
+
+
+@pytest.mark.parametrize("text", [
+    "4 4 2 U\r\n0 1\r\n1 2\r\n2 3\r\n3 0\r\nIDS\r\n0 5\r\n1 6\r\n2 7\r\n3 8\r\n",
+    "\n \n4 4 2 D\n\n0 1\n1 2\x1c\n\x1f2\x1d3\n3 0\n  \nIDS \n3 1\n2 2\n1 3\n0 4",
+    "4 4 2 U\n0 1\n1 2\n2 3\n3 0000000000000000000000\n",
+    "4 4 2 U\n0 1\n1 2\n2 3\n3 9223372036854775808\n",
+    "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 1\n1 2\n2 3\n3 9223372036854775808\n",
+    "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 000000000000000000001\n1 2\n2 3\n3 4\n",
+    "4 4 2 U\n0 1\n1 2\n2 3\n+3 0\n",
+    "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\nIDS\n0 1\n1 2\n2 3\n3 4\n",
+    "4 4 2 U\n0 1\n1 2\n2 3\n3 0\n0 1\n1 2\n2 3\n3 4\n",
+    "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 1\n1 2\n3 3\n3 4\n",
+    "4 4 2 U\n0 1 1 2\n\n2 3\n3 0\n",
+    "4 4 2 U\n0\n1\n1 2\n2 3\n3 0\n",
+    "4 4 2 U\n0 1\n1\x002\n2 3\n3 0\n",
+    "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDSX\n0 1\n1 2\n2 3\n3 4\n",
+    "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS 4\n0 1\n1 2\n2 3\n3 4\n",
+    "1 0 0 U\n",
+    "1 0 0 U\nIDS\n0 1\n",
+    "1 0 0 U",
+])
+def test_byte_parser_matches_line_parser_on_edge_cases(text):
+    for universal_newlines in (False, True):
+        assert (parse_outcome(read_graph, text, universal_newlines)
+                == parse_outcome(ref_read_graph, text, universal_newlines))
 
 
 # --- validation -------------------------------------------------------------------
