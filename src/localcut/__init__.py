@@ -31,6 +31,7 @@ from .bounds import (
     all_inequalities_hold,
     check_inequalities,
     check_window_bound,
+    check_window_bounds,
     decompose,
     f_d,
     log_star,
@@ -40,6 +41,7 @@ from .bounds import (
     two_flip_floor,
     window_bound,
     window_edge_count,
+    window_edge_counts,
 )
 from .congest import (
     BitSerializedMedianProgram,

@@ -4,7 +4,10 @@ Every floor and ratio is a Fraction; every inequality check compares
 integers. Floats never decide a verdict (log_star is the one place floats
 appear, and only below 2^53 where they are exact enough for iterated logs).
 The flip decomposition holds its sets as boolean masks, built with array
-expressions and counted with np.count_nonzero.
+expressions and counted with np.count_nonzero. Claim 2's window floor is
+written once, doubled so it is an integer; `window_edge_counts` gives the
+inside-edge count of every window length from one start in one pass, and
+`check_window_bounds` compares a whole row of lengths against the floor.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .graphs import (
     Orientation,
     RegularGraph,
     _read_only,
-    boundary_size,
     dicut_size,
 )
 
@@ -255,26 +257,40 @@ def log_star(x) -> int:
     return count
 
 
-def window_edge_count(g: RegularGraph, start: int, length: int) -> int:
-    """Exact number of edges inside `length` consecutive circulant positions."""
+def window_edge_counts(g: RegularGraph, start: int) -> np.ndarray:
+    """Per length 0..n, the edges inside that many consecutive circulant
+    positions from `start`, as an int64 array of n + 1 counts.
+
+    An edge lies inside a window from `start` exactly when the window
+    reaches its later end, position max((u-start) mod n, (v-start) mod n);
+    one bincount of those positions and a cumsum give every length.
+    """
     if g.family != "circulant":
         raise InvalidParameterError("window counts are defined on circulants")
-    n, _ = g.family_params
-    if not 0 <= length <= n:
-        raise InvalidParameterError(f"window length must be in [0, {n}]")
-    window = {(start + i) % n for i in range(length)}
-    return (g.d * length - boundary_size(g, window)) // 2  # inside edges have 2 ends in it
+    last = ((g.edges() - start % g.n) % g.n).max(axis=1)
+    counts = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(last, minlength=g.n), out=counts[1:])
+    return counts
+
+
+def window_edge_count(g: RegularGraph, start: int, length: int) -> int:
+    """Exact number of edges inside `length` consecutive circulant positions."""
+    counts = window_edge_counts(g, start)
+    if not 0 <= length <= g.n:
+        raise InvalidParameterError(f"window length must be in [0, {g.n}]")
+    return int(counts[length])
+
+
+def _twice_window_bound(d: int, length, r: int):
+    """2 * window_bound = l*d - d(r-1) - d^2, for an int or an int array l."""
+    if r < 1 or r % 2 == 0:
+        raise InvalidParameterError(f"r must be odd >= 1, got {r}")
+    return length * d - d * (r - 1) - d * d
 
 
 def window_bound(d: int, length: int, r: int) -> Fraction:
     """The inner-window edge floor: l*d/2 - d(r-1)/2 - d^2/2."""
-    if r < 1 or r % 2 == 0:
-        raise InvalidParameterError(f"r must be odd >= 1, got {r}")
-    return (
-        Fraction(length * d, 2)
-        - Fraction(d * (r - 1), 2)
-        - Fraction(d * d, 2)
-    )
+    return Fraction(_twice_window_bound(d, length, r), 2)
 
 
 def check_window_bound(g: RegularGraph, start: int, length: int, r: int
@@ -290,3 +306,17 @@ def check_window_bound(g: RegularGraph, start: int, length: int, r: int
     inner = max(0, length - 2 * margin)
     count = window_edge_count(g, start + margin, inner)
     return count, bound, count >= bound
+
+
+def check_window_bounds(g: RegularGraph, start: int, r: int
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """check_window_bound for every length r..n at once, in integers.
+
+    Returns int64 arrays of the lengths and their trimmed-window counts, and
+    the boolean mask 2*count >= 2*bound.
+    """
+    lengths = np.arange(r, g.n + 1)
+    twice_bounds = _twice_window_bound(g.d, lengths, r)
+    margin = (r - 1) // 2
+    counts = window_edge_counts(g, start + margin)[lengths - 2 * margin]
+    return lengths, counts, 2 * counts >= twice_bounds

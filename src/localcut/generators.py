@@ -23,7 +23,13 @@ from .errors import (
     InvariantError,
     SearchNotFoundError,
 )
-from .graphs import Labelling, Orientation, RegularGraph, coin_flips
+from .graphs import (
+    Labelling,
+    Orientation,
+    RegularGraph,
+    _require_vertex_count,
+    coin_flips,
+)
 
 
 def _circulant_arcs(n: int, d: int) -> list[tuple[int, int]]:
@@ -162,14 +168,15 @@ def _pairing_attempt(n: int, d: int, rng: random.Random) -> Optional[np.ndarray]
 def make_random_regular(n: int, d: int, seed: int, max_restarts: int = 1000) -> RegularGraph:
     """Random d-regular graph from the pairing model (Bollobas 1980).
 
-    pre: nd even, 0 <= d < n. Each attempt orders all nd stubs with one
-    getrandbits call on random.Random(seed); loop and repeated pairs are
-    rejected and only their stubs re-paired, so, as Wormald's survey of the
-    model shows, the expected number of full restarts stays O(1) even for
-    d = 7. A restart happens only when the leftover stubs are stuck; after
+    pre: 1 <= n < 2^32, nd even, 0 <= d < n. Each attempt orders all nd
+    stubs with one getrandbits call on random.Random(seed); loop and
+    repeated pairs are rejected and only their stubs re-paired, so, as
+    Wormald's survey of the model shows, the expected number of full
+    restarts stays O(1) even for d = 7. A restart happens only when the leftover stubs are stuck; after
     `max_restarts` attempts ConstructionError is raised. numpy.random is
     not used (importing it alone costs about 6 MB of memory).
     """
+    _require_vertex_count(n)
     if d < 0 or d >= n or (n * d) % 2:
         raise InvalidParameterError(
             f"need 0 <= d < n and nd even, got n={n}, d={d}"

@@ -22,7 +22,7 @@ from typing import Optional, TextIO, Union
 import numpy as np
 
 from .errors import InvalidParameterError
-from .graphs import Labelling, Orientation, RegularGraph
+from .graphs import _MAX_N, Labelling, Orientation, RegularGraph
 
 GraphLike = Union[RegularGraph, Orientation]
 
@@ -76,9 +76,6 @@ _CLASS[list(b" \t\v\f\r\x1c\x1d\x1e\x1f")] = _SPACE
 _CLASS[list(b"0123456789")] = _DIGIT
 _CLASS[ord("\n")] = _NEWLINE
 _MAX_DIGITS = 18  # every such token fits in an int64
-# A file with d = 0 has no edge lines to back its n, and a graph allocates
-# per-vertex arrays, so the header's n is capped.
-_MAX_N = 2 ** 32
 
 
 def _header(line: str) -> tuple[int, int, int, bool]:

@@ -5,6 +5,8 @@ sorted rows; an orientation is an (m, 2) arc array, a cut an int8 side
 array. Immutable means these arrays are read-only after construction. A
 set of vertices, edges or arcs is a boolean mask over the vertices, the
 rows of `edges()` or the rows of `arcs` (`dicut_arcs` is one).
+`cut_size` compares the two endpoint sides of each row of `edges()`;
+`same_side_counts` is the per-vertex count the local rules share.
 Vertices are 0..n-1 throughout; IDs (distinct positive integers, kept as
 Python ints) live in a separate Labelling so a graph can carry many.
 """
@@ -21,6 +23,15 @@ from .errors import InvalidParameterError
 
 LEFT = 0
 RIGHT = 1
+# Graphs allocate per-vertex arrays, and a graph with d = 0 has no edges to
+# back its n, so every vertex count must lie in 1 <= n < 2^32.
+_MAX_N = 2 ** 32
+
+
+def _require_vertex_count(n: int) -> None:
+    """Raise InvalidParameterError unless 1 <= n < 2^32."""
+    if not 1 <= n < _MAX_N:
+        raise InvalidParameterError(f"need 1 <= n < 2^32 vertices, got n={n}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -103,7 +114,11 @@ class RegularGraph:
     def from_edges(cls, n: int, edges, d: Optional[int] = None,
                    family: Optional[str] = None, family_params: Optional[tuple] = None
                    ) -> "RegularGraph":
-        """Graph from an (m, 2) array or an iterable of (u, v) pairs."""
+        """Graph from an (m, 2) array or an iterable of (u, v) pairs.
+
+        pre: 1 <= n < 2^32, checked before any array is built.
+        """
+        _require_vertex_count(n)
         e = _int_pairs(edges, "edges")
         if e.size and (e.min() < 0 or e.max() >= n):
             raise InvalidParameterError(f"an edge endpoint is out of range 0..{n - 1}")
@@ -257,7 +272,7 @@ class Cut:
     def __init__(self, sides: Sequence[int]):
         s = np.asarray(sides)
         if s.size and not (s.ndim == 1 and s.dtype.kind in "biu"
-                           and np.all((s == LEFT) | (s == RIGHT))):
+                           and s.min() >= LEFT and s.max() <= RIGHT):
             raise InvalidParameterError("every side must be LEFT (0) or RIGHT (1)")
         self.sides = _read_only(s.reshape(-1).astype(np.int8))
         self.n = len(self.sides)
@@ -301,8 +316,10 @@ def same_side_counts(g: RegularGraph, c: Cut) -> np.ndarray:
 
 
 def cut_size(g: RegularGraph, c: Cut) -> int:
-    """Number of edges with endpoints on different sides."""
-    return g.m - int(same_side_counts(g, c).sum()) // 2
+    """Number of rows of `g.edges()` whose endpoints are on different sides."""
+    _require_cover(g, c)
+    e = g.edges()
+    return int(np.count_nonzero(c.sides[e[:, 0]] != c.sides[e[:, 1]]))
 
 
 def dicut_arcs(o: Orientation, c: Cut) -> np.ndarray:

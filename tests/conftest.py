@@ -1,6 +1,7 @@
 import io
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -45,6 +46,16 @@ def oriented_graphs(max_half: int = 8, degrees: tuple[int, ...] = (3, 5)):
         small_regular_graphs(max_half, degrees),
         st.integers(min_value=0, max_value=2 ** 32 - 1),
     )
+
+
+def peak_bytes(fn) -> int:
+    """Peak memory tracemalloc sees (numpy's arrays included) while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def labelling_for(n: int, seed: int) -> Labelling:

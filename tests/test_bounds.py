@@ -13,6 +13,7 @@ from localcut import (
     all_inequalities_hold,
     check_inequalities,
     check_window_bound,
+    check_window_bounds,
     complete_graph,
     decompose,
     enumerate_max_dicuts,
@@ -30,6 +31,8 @@ from localcut import (
     window_bound,
     window_edge_count,
 )
+from localcut import bounds
+from localcut.verify import verify_claim2
 
 from conftest import oriented_graphs
 
@@ -263,3 +266,46 @@ def test_window_bound_holds_on_c16(length, r):
         return
     _, _, ok = check_window_bound(g, 3, length, r)
     assert ok
+
+
+def fake_window_counts(monkeypatch, d, offset):
+    """Make every window of i positions hold (i*d - d^2)/2 + offset edges,
+    so every trimmed window sits `offset` above Claim 2's floor."""
+    def counts(g, start):
+        return np.arange(g.n + 1) * d // 2 - d * d // 2 + offset
+    monkeypatch.setattr(bounds, "window_edge_counts", counts)
+
+
+@pytest.mark.parametrize("offset,holds", [(0, True), (-1, False)])
+def test_window_checks_on_the_floor(monkeypatch, offset, holds):
+    g = make_circulant(16, 4)
+    fake_window_counts(monkeypatch, 4, offset)
+    for r in (1, 3, 5):
+        lengths, counts, ok = check_window_bounds(g, 0, r)
+        assert lengths.tolist() == list(range(r, 17))
+        assert ok.tolist() == [holds] * len(lengths)
+        for length, count in zip(lengths.tolist(), counts.tolist()):
+            assert check_window_bound(g, 0, length, r) == (
+                count, window_bound(4, length, r), holds)
+            assert 2 * count == 2 * window_bound(4, length, r) + 2 * offset
+
+
+def test_check_window_bounds_validates_r():
+    for r in (0, 2, -1):
+        with pytest.raises(InvalidParameterError, match="odd"):
+            check_window_bounds(make_circulant(16, 4), 0, r)
+
+
+def test_claim2_reports_each_violation_in_grid_order(monkeypatch):
+    fake_window_counts(monkeypatch, 4, -1)
+    rep = verify_claim2(degrees=(4,), max_n=8, max_r=3)
+    # C_8^4 only: lengths 1..8 with r = 1, lengths 3..8 with r = 3, and the
+    # fixed C_12^4 count, which the fake makes 3
+    assert rep["cases"] == rep["violations"] == 8 + 6 + 1
+    assert rep["first_violations"][:4] == [
+        "C_8^4 l=1 r=1: -7 < -6",
+        "C_8^4 l=2 r=1: -5 < -4",
+        "C_8^4 l=3 r=1: -3 < -2",
+        "C_8^4 l=3 r=3: -7 < -6",
+    ]
+    assert rep["first_violations"][-1] == "window count C_12^4 l=6: 3, expected 8"

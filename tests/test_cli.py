@@ -323,6 +323,8 @@ EXIT_CODES = {
                              "--ids", "extremal", "--out", "{out}"], 2),
     "gen-unwritable-path": (["gen", "--family", "cnd", "--n", "8", "--d", "2",
                              "--out", "{tmp}/no/such/dir.txt"], 2),
+    "gen-random-n-past-2^32": (["gen", "--family", "random", "--n", "4294967296",
+                                "--d", "0", "--out", "{out}"], 2),
     "gen-stuck1flip-over-budget": (["gen", "--family", "stuck1flip", "--d", "5",
                                     "--out", "{out}"], 3),
     "run-median-even-d": (["run", "--algo", "median", "--graph", "{cnd}"], 2),

@@ -39,6 +39,8 @@ import localcut
 from localcut import graphs as graphs_mod
 from localcut.generators import _pairing_attempt, _realize_bipartite
 
+from conftest import peak_bytes
+
 
 # --- circulant families ---------------------------------------------------
 
@@ -145,6 +147,19 @@ def test_random_regular_rejects_bad_params():
         make_random_regular(7, 3, seed=0)  # odd n * odd d
     with pytest.raises(InvalidParameterError):
         make_random_regular(4, 4, seed=0)  # n <= d
+
+
+@pytest.mark.parametrize("n", [0, 2 ** 32, 10 ** 18])
+def test_random_regular_rejects_vertex_count_before_allocating(n):
+    def build():
+        with pytest.raises(InvalidParameterError, match=r"need 1 <= n < 2\^32"):
+            make_random_regular(n, 0, seed=1)
+    assert peak_bytes(build) < 2 ** 20
+
+
+def test_random_regular_on_one_vertex_is_empty():
+    g = make_random_regular(1, 0, seed=1)
+    assert (g.n, g.d, g.m) == (1, 0, 0)
 
 
 def test_random_regular_handles_degree_seven():

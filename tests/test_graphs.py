@@ -31,7 +31,7 @@ from localcut import (
     validate_regular,
 )
 
-from conftest import oriented_graphs, small_regular_graphs
+from conftest import oriented_graphs, peak_bytes, small_regular_graphs
 
 
 def test_validate_regular_accepts_cycle():
@@ -152,6 +152,41 @@ def test_cut_basics():
     assert c.mirrored().sides.tolist() == [RIGHT, LEFT]
     with pytest.raises(InvalidParameterError):
         Cut([2])
+
+
+@pytest.mark.parametrize("sides", [
+    np.array([True, False, True]),
+    np.array([0, 1, 1], dtype=np.int64),
+    np.array([1, 0, 0], dtype=np.uint8),
+    np.array([0, 1, 0], dtype=np.int8),
+])
+def test_cut_accepts_bool_and_integer_sides(sides):
+    c = Cut(sides)
+    assert c.sides.dtype == np.int8 and c.sides.tolist() == sides.astype(int).tolist()
+
+
+@pytest.mark.parametrize("sides", [
+    [0, 2],
+    [-1, 0],
+    np.array([0, 1, 2], dtype=np.uint8),
+    np.array([-1, 1], dtype=np.int64),
+    np.array([0, 256], dtype=np.int64),  # 0 as int8
+    np.array([1, -255], dtype=np.int64),  # 1 as int8
+    np.array([0.0, 1.0]),
+    np.array([[0, 1], [1, 0]]),
+    np.array([[True], [False]]),
+])
+def test_cut_rejects_other_sides(sides):
+    with pytest.raises(InvalidParameterError, match="every side must be LEFT"):
+        Cut(sides)
+
+
+@pytest.mark.parametrize("n", [0, 2 ** 32, 10 ** 18])
+def test_from_edges_rejects_vertex_count_before_allocating(n):
+    def build():
+        with pytest.raises(InvalidParameterError, match=r"need 1 <= n < 2\^32"):
+            RegularGraph.from_edges(n, [], d=0)
+    assert peak_bytes(build) < 2 ** 20
 
 
 def test_cut_from_left_set():

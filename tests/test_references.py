@@ -9,6 +9,7 @@ port-by-port engine and the copy-on-write programs they replaced.
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from localcut import (
     RIGHT,
     RegularGraph,
     check_inequalities,
+    check_window_bound,
+    check_window_bounds,
     complete_graph,
     cut_size,
     decompose,
@@ -51,9 +54,13 @@ from localcut import (
     stable_vertices,
     unstable_flip_step,
     validate_regular,
+    window_bound,
+    window_edge_count,
+    window_edge_counts,
 )
 from localcut.congest import RoundTrace, decode_id, encode_id
 from localcut.graphs import same_side_counts
+from localcut.verify import verify_claim2
 
 from conftest import FaultyProgram, labelling_for, mutated_graph_files, text_source
 
@@ -451,6 +458,14 @@ def ref_read_graph(source):
     return graph, lab
 
 
+def ref_window_edge_count(adj, start, length):
+    """Edges with both ends among `length` consecutive positions from `start`."""
+    n = len(adj)
+    window = {(start + i) % n for i in range(length)}
+    return sum(1 for v in window for w in adj[v] if w in window) // 2
+
+
+
 # --- instances -------------------------------------------------------------------
 
 @st.composite
@@ -710,6 +725,47 @@ def test_heap_policies_match_the_scanning_loop(seed, d):
         got = sequential_flip_to_maximal(g, start, policy)
         assert got.sides.tolist() == ref_flip_by_scan(g, start, pick)
         assert is_maximal_cut(g, got)
+
+
+# --- circulant windows ----------------------------------------------------------------
+
+@given(st.sampled_from([2, 4, 6]), st.integers(min_value=0, max_value=12))
+@settings(max_examples=40)
+def test_window_edge_counts_match_set_reference(d, extra):
+    g = make_circulant(2 * d + 2 * extra, d)
+    adj = g.adj.tolist()
+    for start in range(g.n):
+        counts = window_edge_counts(g, start)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [ref_window_edge_count(adj, start, length)
+                                   for length in range(g.n + 1)]
+        assert window_edge_counts(g, start - g.n).tolist() == counts.tolist()
+        assert window_edge_count(g, start, start) == counts[start]
+
+
+def test_claim2_rows_match_scalar_checks_on_the_default_grid():
+    # verify_claim2's defaults: d in (4, 6), n = 2d, 2d + 4, ... <= 60, r <= 25
+    cases = 0
+    for d in (4, 6):
+        for n in range(2 * d, 61, 4):
+            g = make_circulant(n, d)
+            adj = g.adj.tolist()
+            grid = {(length, r) for length in range(1, n + 1)
+                    for r in range(1, min(length, 25) + 1, 2)}
+            rows = set()
+            for r in range(1, min(n, 25) + 1, 2):
+                lengths, counts, ok = check_window_bounds(g, 0, r)
+                margin = (r - 1) // 2
+                for length, count, holds in zip(lengths.tolist(), counts.tolist(),
+                                                ok.tolist()):
+                    rows.add((length, r))
+                    want = ref_window_edge_count(adj, margin, length - 2 * margin)
+                    bound = window_bound(d, length, r)
+                    assert check_window_bound(g, 0, length, r) == (count, bound, holds)
+                    assert (count, holds) == (want, Fraction(want) >= bound)
+            assert rows == grid
+            cases += len(grid)
+    assert cases + 1 == verify_claim2()["cases"] == 8269
 
 
 # --- seeded generators ------------------------------------------------------------
