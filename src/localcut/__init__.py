@@ -72,7 +72,9 @@ from .generators import (
     make_extremal_labelling,
     make_id_orientation,
     make_random_orientation,
+    make_random_orientation_union,
     make_random_regular,
+    make_random_regular_union,
     make_single_flip_stuck_instance,
     orient_clockwise,
     stuck_sets,
@@ -86,6 +88,8 @@ from .graphs import (
     RIGHT,
     RegularGraph,
     boundary_size,
+    component_offsets,
+    cut_edges,
     cut_size,
     deficit_partition,
     dicut_arcs,

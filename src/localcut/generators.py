@@ -7,13 +7,20 @@ graphs, and the instance on which one round of flips gains nothing.
 
 Every generator is deterministic: randomness only enters through an explicit
 seed argument.
+
+The pairing model has one implementation, batched: make_random_regular_union
+pairs the stubs of many graphs in one numpy pass per round, each graph with
+its own random.Random(seed), so every component equals the graph
+make_random_regular builds alone from that seed; make_random_regular is the
+one-graph call. make_random_orientation_union orients such a union as
+make_random_orientation orients each component alone.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +36,7 @@ from .graphs import (
     RegularGraph,
     _require_vertex_count,
     coin_flips,
+    component_offsets,
 )
 
 
@@ -105,41 +113,10 @@ def complete_graph(n: int) -> RegularGraph:
     )
 
 
-def _pairing_attempt(n: int, d: int, rng: random.Random) -> Optional[np.ndarray]:
-    """One pass of the stub-matching pairing model, as edge keys u*n+v, u < v.
-
-    Stub i belongs to vertex i // d. The first round is numpy: nd random
-    64-bit keys sort the stubs into a uniform random order, consecutive
-    stubs pair off, and a pair is kept unless it is a loop or repeats an
-    earlier pair. The stubs of the rejected pairs (a dozen at n = 10^5,
-    d = 5) are then shuffled and re-paired in Python until none is left;
-    None when the leftovers can no longer be placed anywhere.
-    """
-    nd = n * d
-    draws = np.frombuffer(rng.getrandbits(64 * nd).to_bytes(8 * nd, "little"), dtype="<u8")
-    # the stub index in the low bits breaks ties, so every sort agrees
-    low = np.uint64((1 << max(nd - 1, 1).bit_length()) - 1)
-    order = np.argsort(draws & ~low | np.arange(nd, dtype=np.uint64))
-    pairs = (order // max(d, 1)).reshape(-1, 2)
-    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
-    keys = lo * n + hi
-    keep = lo != hi
-    ordered = np.sort(keys)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    if repeated.size:  # a handful of pairs: keep the first of each key
-        seen: set[int] = set()
-        found = np.searchsorted(repeated, keys).clip(max=repeated.size - 1)
-        at = np.flatnonzero(repeated[found] == keys)
-        for i, key in zip(at.tolist(), keys[at].tolist()):
-            keep[i] &= key not in seen
-            seen.add(key)
-    stubs = pairs[~keep].ravel().tolist()
-    if not stubs:
-        return keys
-    # only a kept pair of two leftover vertices can collide with a new pair
-    spare = np.zeros(n, dtype=bool)
-    spare[stubs] = True
-    taken = set(keys[keep & spare[lo] & spare[hi]].tolist())
+def _repair(stubs: list[int], taken: set[int], n: int, rng: random.Random
+            ) -> Optional[list[int]]:
+    """Shuffle and re-pair leftover stubs until none is left, as new edge keys
+    u*n+v (u < v) that avoid `taken`; None when they can no longer be placed."""
     extra = []
     while stubs:
         rng.shuffle(stubs)
@@ -162,7 +139,106 @@ def _pairing_attempt(n: int, d: int, rng: random.Random) -> Optional[np.ndarray]
             if not placeable:
                 return None
         stubs = [v for v, count in leftover.items() for _ in range(count)]
-    return np.concatenate([keys[keep], np.array(extra, dtype=keys.dtype)])
+    return extra
+
+
+def _pairing_round(ns: Sequence[int], d: int, rngs: Sequence[random.Random],
+                   firsts: Sequence[int], n: int) -> tuple[np.ndarray, list[int]]:
+    """One attempt of the stub-matching pairing model for every case at once.
+
+    Case k is an ns[k]-vertex graph on vertices firsts[k] and up of an
+    n-vertex union, drawn from rngs[k]; its stub i belongs to its vertex
+    i // d. Each case orders its stubs by ns[k]*d random 64-bit keys from
+    one getrandbits call, consecutive stubs pair off, and a pair is kept
+    unless it is a loop or repeats an earlier pair of its case; this is one
+    numpy pass over all cases. The stubs of each case's rejected pairs (a
+    dozen at n = 10^5, d = 5) are then shuffled and re-paired in Python.
+    Returns the edge keys u*n+v (u < v) of every case that got through, and
+    the indices of the cases whose leftovers got stuck.
+    """
+    nds = [k * d for k in ns]
+    draws = np.frombuffer(b"".join(
+        rng.getrandbits(64 * nd).to_bytes(8 * nd, "little") for rng, nd in zip(rngs, nds)
+    ), dtype="<u8")
+    starts = component_offsets(nds)
+    # the stub index in the low bits breaks ties, so every sort agrees
+    low = [(1 << max(nd - 1, 1).bit_length()) - 1 for nd in nds]
+    if len(ns) == 1:
+        order = np.argsort(draws & ~np.uint64(low[0]) | np.arange(nds[0], dtype=np.uint64))
+        vertex = order // max(d, 1) + firsts[0]
+    else:
+        local = np.arange(int(starts[-1])) - np.repeat(starts[:-1], nds)
+        high = draws & ~np.repeat(np.array(low, dtype=np.uint64), nds)
+        order = np.lexsort((high | local.astype(np.uint64), np.repeat(np.arange(len(ns)), nds)))
+        vertex = (np.repeat(np.asarray(firsts, dtype=np.int64), nds) + local // max(d, 1))[order]
+    pairs = vertex.reshape(-1, 2)
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    keys = lo * n + hi
+    keep = lo != hi
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:  # a handful of pairs: keep the first of each key
+        found = np.searchsorted(repeated, keys).clip(max=repeated.size - 1)
+        at = np.flatnonzero(repeated[found] == keys)
+        first = np.zeros(at.size, dtype=bool)
+        first[np.unique(keys[at], return_index=True)[1]] = True
+        keep[at] &= first
+    rejected = np.flatnonzero(~keep)
+    # only a kept pair of two leftover vertices can collide with a new pair
+    spare = np.zeros(n, dtype=bool)
+    spare[pairs[rejected].ravel()] = True
+    taken = set(keys[keep & spare[lo] & spare[hi]].tolist())
+    rows = (starts // 2).tolist()  # case k's pairs are rows[k] .. rows[k+1] - 1
+    bounds = np.searchsorted(rejected, rows).tolist()
+    extra: list[int] = []
+    stuck = []
+    for k in np.flatnonzero(np.diff(bounds)).tolist():
+        found_keys = _repair(pairs[rejected[bounds[k]:bounds[k + 1]]].ravel().tolist(),
+                             taken, n, rngs[k])
+        if found_keys is None:
+            stuck.append(k)
+            keep[rows[k]:rows[k + 1]] = False
+        else:
+            extra += found_keys
+    return np.concatenate([keys[keep], np.array(extra, dtype=keys.dtype)]), stuck
+
+
+def _random_regular_edges(ns: Sequence[int], d: int, seeds: Sequence[int],
+                          max_restarts: int) -> np.ndarray:
+    """The edges of the pairing model's graph for each (ns[k], seeds[k]),
+    laid side by side as one union, in no particular order.
+
+    Every pending case takes part in each round of _pairing_round; a stuck
+    case restarts from scratch in the next round, with its own generator,
+    so each case draws exactly what it would draw alone.
+    """
+    if len(ns) != len(seeds) or not len(ns):
+        raise InvalidParameterError("need one seed per case and at least one case")
+    for n in ns:
+        _require_vertex_count(n)
+        if d < 0 or d >= n or (n * d) % 2:
+            raise InvalidParameterError(
+                f"need 0 <= d < n and nd even, got n={n}, d={d}"
+            )
+    total = sum(ns)
+    _require_vertex_count(total)
+    firsts = component_offsets(ns)[:-1].tolist()
+    rngs = [random.Random(seed) for seed in seeds]
+    found = []
+    pending = list(range(len(ns)))
+    for _ in range(max_restarts):
+        keys, stuck = _pairing_round([ns[k] for k in pending], d, [rngs[k] for k in pending],
+                                     [firsts[k] for k in pending], total)
+        found.append(keys)
+        pending = [pending[k] for k in stuck]
+        if not pending:
+            keys = np.concatenate(found) if len(found) > 1 else keys
+            return np.stack([keys // total, keys % total], axis=1)
+    k = pending[0]
+    raise ConstructionError(
+        f"pairing model found no simple graph in {max_restarts} restarts "
+        f"(n={ns[k]}, d={d}, seed={seeds[k]})"
+    )
 
 
 def make_random_regular(n: int, d: int, seed: int, max_restarts: int = 1000) -> RegularGraph:
@@ -172,24 +248,29 @@ def make_random_regular(n: int, d: int, seed: int, max_restarts: int = 1000) -> 
     stubs with one getrandbits call on random.Random(seed); loop and
     repeated pairs are rejected and only their stubs re-paired, so, as
     Wormald's survey of the model shows, the expected number of full
-    restarts stays O(1) even for d = 7. A restart happens only when the leftover stubs are stuck; after
-    `max_restarts` attempts ConstructionError is raised. numpy.random is
-    not used (importing it alone costs about 6 MB of memory).
+    restarts stays O(1) even for d = 7. A restart happens only when the
+    leftover stubs are stuck; after `max_restarts` attempts
+    ConstructionError is raised. numpy.random is not used (importing it
+    alone costs about 6 MB of memory). This is the one-case call of
+    make_random_regular_union.
     """
-    _require_vertex_count(n)
-    if d < 0 or d >= n or (n * d) % 2:
-        raise InvalidParameterError(
-            f"need 0 <= d < n and nd even, got n={n}, d={d}"
-        )
-    rng = random.Random(seed)
-    for _ in range(max_restarts):
-        keys = _pairing_attempt(n, d, rng)
-        if keys is not None:
-            return RegularGraph.from_edges(n, np.stack([keys // n, keys % n], axis=1), d=d)
-    raise ConstructionError(
-        f"pairing model found no simple graph in {max_restarts} restarts "
-        f"(n={n}, d={d}, seed={seed})"
-    )
+    return RegularGraph.from_edges(n, _random_regular_edges([n], d, [seed], max_restarts), d=d)
+
+
+def make_random_regular_union(ns: Sequence[int], d: int, seeds: Sequence[int],
+                              max_restarts: int = 1000) -> RegularGraph:
+    """Disjoint union of make_random_regular(ns[k], d, seeds[k]) over k.
+
+    Case k lies on vertices offsets[k] .. offsets[k] + ns[k] - 1, with
+    offsets = component_offsets(ns), so its edges() rows are the lone
+    graph's rows shifted by offsets[k], in case order. One numpy pass per
+    round pairs the stubs of every pending case; each case keeps its own
+    random.Random(seed) and draws exactly what it draws alone, so its
+    component equals the lone graph for every seed, and `max_restarts`
+    bounds each case's attempts. pre: every ns[k] satisfies
+    make_random_regular's preconditions and sum(ns) < 2^32.
+    """
+    return RegularGraph.from_edges(sum(ns), _random_regular_edges(ns, d, seeds, max_restarts), d=d)
 
 
 def make_id_orientation(g: RegularGraph, lab: Labelling) -> Orientation:
@@ -201,11 +282,29 @@ def make_id_orientation(g: RegularGraph, lab: Labelling) -> Orientation:
     return Orientation(g, np.where(forward[:, None], e, e[:, ::-1]))
 
 
+def _coin_orientation(g: RegularGraph, ms: Sequence[int], seeds: Sequence[int]
+                      ) -> Orientation:
+    """Orient edges() in consecutive blocks of ms[k] rows: block k takes a fair
+    coin per edge (u, v) from random.Random(seeds[k]); 1 keeps u -> v."""
+    e = g.edges()
+    forward = np.concatenate(
+        [coin_flips(random.Random(seed), m) for m, seed in zip(ms, seeds)]) == 1
+    return Orientation(g, np.where(forward[:, None], e, e[:, ::-1]))
+
+
 def make_random_orientation(g: RegularGraph, seed: int) -> Orientation:
     """Fair coin per edge (u, v) in edges() order: 1 keeps u -> v."""
-    e = g.edges()
-    forward = coin_flips(random.Random(seed), g.m) == 1
-    return Orientation(g, np.where(forward[:, None], e, e[:, ::-1]))
+    return _coin_orientation(g, [g.m], [seed])
+
+
+def make_random_orientation_union(g: RegularGraph, ns: Sequence[int],
+                                  seeds: Sequence[int]) -> Orientation:
+    """Random orientation of a union with components of ns[k] vertices, such
+    as make_random_regular_union builds: component k is oriented as
+    make_random_orientation(component, seeds[k]) orients it alone."""
+    if sum(ns) != g.n or len(ns) != len(seeds):
+        raise InvalidParameterError("need one seed per component and components covering g")
+    return _coin_orientation(g, [n * g.d // 2 for n in ns], seeds)
 
 
 def _split_evenly(total: int, parts: int) -> list[int]:

@@ -5,9 +5,11 @@ sorted rows; an orientation is an (m, 2) arc array, a cut an int8 side
 array. Immutable means these arrays are read-only after construction. A
 set of vertices, edges or arcs is a boolean mask over the vertices, the
 rows of `edges()` or the rows of `arcs` (`dicut_arcs` is one).
-`cut_size` compares the two endpoint sides of each row of `edges()`;
-`same_side_counts` is the per-vertex count the local rules share.
-Vertices are 0..n-1 throughout; IDs (distinct positive integers, kept as
+`cut_edges` marks the rows of `edges()` whose two endpoints lie on
+different sides and `cut_size` counts them;
+`same_side_counts` is the per-vertex count the local rules share. A
+disjoint union lays graphs side by side, each on a run of vertices that
+`component_offsets` locates. Vertices are 0..n-1 throughout; IDs (distinct positive integers, kept as
 Python ints) live in a separate Labelling so a graph can carry many.
 """
 
@@ -32,6 +34,24 @@ def _require_vertex_count(n: int) -> None:
     """Raise InvalidParameterError unless 1 <= n < 2^32."""
     if not 1 <= n < _MAX_N:
         raise InvalidParameterError(f"need 1 <= n < 2^32 vertices, got n={n}")
+
+
+def component_offsets(sizes: Sequence[int]) -> np.ndarray:
+    """Where each component of a disjoint union starts, then the total:
+    [0, s0, s0 + s1, ...] for components of sizes s0, s1, ... laid side by
+    side. Times d/2 they are where each component's rows of `edges()` start."""
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
+def _vertex_mask(n: int, vertices: Iterable[int]) -> np.ndarray:
+    """Boolean mask of a vertex set; InvalidParameterError unless every
+    vertex is an integer in 0..n-1."""
+    v = np.array(list(vertices))
+    if v.size and not (v.ndim == 1 and v.dtype.kind in "iu" and v.min() >= 0 and v.max() < n):
+        raise InvalidParameterError(f"vertices must be integers in 0..{n - 1}")
+    mask = np.zeros(n, dtype=bool)
+    mask[v.astype(np.int64)] = True
+    return mask
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -248,13 +268,17 @@ def identity_labelling(n: int) -> Labelling:
     return Labelling(range(1, n + 1), origin="identity")
 
 
+def _random_ids(n: int, seed: int, id_bound: int) -> list[int]:
+    """n distinct IDs sampled uniformly from [1, id_bound]."""
+    return random.Random(seed).sample(range(1, id_bound + 1), n)
+
+
 def random_labelling(n: int, seed: int, id_bound: Optional[int] = None) -> Labelling:
     """n distinct IDs sampled uniformly from [1, id_bound] (default n^3)."""
     if id_bound is None:
         id_bound = n ** 3
-    rng = random.Random(seed)
-    ids = rng.sample(range(1, id_bound + 1), n)
-    return Labelling(ids, id_bound=id_bound, origin=f"random(seed={seed})")
+    return Labelling(_random_ids(n, seed, id_bound), id_bound=id_bound,
+                     origin=f"random(seed={seed})")
 
 
 def coin_flips(rng: random.Random, k: int) -> np.ndarray:
@@ -279,8 +303,8 @@ class Cut:
 
     @classmethod
     def from_left_set(cls, n: int, left: Iterable[int]) -> "Cut":
-        left = set(left)
-        return cls([LEFT if v in left else RIGHT for v in range(n)])
+        """LEFT on the given vertices, RIGHT elsewhere; each must lie in 0..n-1."""
+        return cls(np.where(_vertex_mask(n, left), LEFT, RIGHT))
 
     def left_vertices(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.sides == LEFT).tolist())
@@ -315,11 +339,16 @@ def same_side_counts(g: RegularGraph, c: Cut) -> np.ndarray:
     return (c.sides[g.adj] == c.sides[:, None]).sum(axis=1)
 
 
-def cut_size(g: RegularGraph, c: Cut) -> int:
-    """Number of rows of `g.edges()` whose endpoints are on different sides."""
+def cut_edges(g: RegularGraph, c: Cut) -> np.ndarray:
+    """Boolean mask over the rows of `g.edges()`: the edges the cut splits."""
     _require_cover(g, c)
     e = g.edges()
-    return int(np.count_nonzero(c.sides[e[:, 0]] != c.sides[e[:, 1]]))
+    return c.sides[e[:, 0]] != c.sides[e[:, 1]]
+
+
+def cut_size(g: RegularGraph, c: Cut) -> int:
+    """Number of rows of `g.edges()` whose endpoints are on different sides."""
+    return int(np.count_nonzero(cut_edges(g, c)))
 
 
 def dicut_arcs(o: Orientation, c: Cut) -> np.ndarray:
@@ -377,6 +406,7 @@ def monochromatic_components(g: RegularGraph, c: Cut) -> list[frozenset[int]]:
 
 
 def boundary_size(g: RegularGraph, vertices: Iterable[int]) -> int:
-    """Number of edges with exactly one endpoint in the vertex set."""
-    inside = np.bincount(list(vertices), minlength=g.n).astype(bool)
-    return int(np.count_nonzero(inside[g.edges()[:, 0]] != inside[g.edges()[:, 1]]))
+    """Number of edges with exactly one endpoint in the vertex set; every
+    vertex must lie in 0..n-1."""
+    inside, e = _vertex_mask(g.n, vertices), g.edges()
+    return int(np.count_nonzero(inside[e[:, 0]] != inside[e[:, 1]]))

@@ -6,6 +6,15 @@ via `verify --suite`; the acceptance tests assert on the same reports, so
 there is exactly one implementation of every check.
 
 All comparisons against guaranteed values are exact (integers, Fractions).
+
+The seeded random corpora (median-floor, the oriented-ratio floor, the
+oracle corpus shared by three suites, flip-monotonicity) are checked as
+disjoint unions. Every rule here decides a vertex from its radius-1 ball,
+so a rule run once on a union gives each component the cut it gets alone.
+make_random_regular_union builds the graphs of many cases in one batched
+pairing pass, each from its own seed, and per-case counts are cumulative
+sums cut at the component offsets. Each suite still draws its cases from
+its seed in the same order, so its report equals a per-case loop's.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -31,14 +41,20 @@ from .generators import (
     make_circulant,
     make_double_circulant,
     make_id_orientation,
-    make_random_orientation,
+    make_random_orientation_union,
     make_random_regular,
+    make_random_regular_union,
     orient_clockwise,
 )
 from .graphs import (
+    Labelling,
+    Orientation,
+    RegularGraph,
+    _random_ids,
+    component_offsets,
+    cut_edges,
     cut_size,
     dicut_arcs,
-    dicut_size,
     identity_labelling,
     is_bipartite,
     random_labelling,
@@ -47,6 +63,10 @@ from .graphs import (
 from .oracle import max_cut_exact, max_dicut_exact
 
 _MAX_REPORTED = 20
+# At most this many stubs (vertices times degree) per union, so each of its
+# int64 arrays stays within 128 KiB: a union of a degree's whole corpus
+# raised the peak memory of `verify --suite all` from 37.6 MB to 44 MB.
+_UNION_STUBS = 1 << 14
 
 
 def _report(suite: str, cases: int, violations: list[str], started: float,
@@ -72,30 +92,112 @@ def double_circulant_halves(d: int) -> tuple[int, ...]:
     return tuple(sorted({max(2 * (d - 1), d + 1), 2 * d, 12}))
 
 
+def _per_case(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per component, the set entries of a mask over a union's vertices or
+    edges() rows, component k spanning offsets[k] .. offsets[k+1] - 1."""
+    counts = np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])
+    return counts[offsets[1:]] - counts[offsets[:-1]]
+
+
+def _runs(sizes: list[int]) -> list[slice]:
+    """Consecutive runs of the items, each of total size at most
+    _UNION_STUBS unless it is a single item."""
+    runs, start, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if total + size > _UNION_STUBS and i > start:
+            runs.append(slice(start, i))
+            start, total = i, 0
+        total += size
+    return runs + [slice(start, len(sizes))] if sizes else runs
+
+
+def _union(blocks: list[np.ndarray], d: int) -> RegularGraph:
+    """Disjoint union of adjacency blocks, block k shifted past the others."""
+    offsets = component_offsets([len(b) for b in blocks]).tolist()
+    return RegularGraph(np.concatenate([b + off for b, off in zip(blocks, offsets)]), d=d)
+
+
+def _blocks(g: RegularGraph, ns: list[int]) -> list[np.ndarray]:
+    """The adjacency of each component of a union, in its own vertex numbers."""
+    offsets = component_offsets(ns).tolist()
+    return [g.adj[a:b] - a for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+def _draw_case(rng: random.Random, d: int, max_n: int) -> tuple[int, int, int, int]:
+    """(d, n, graph seed, orientation seed) of one random orientation."""
+    n = _even_n(rng, d, max_n)
+    return d, n, rng.randrange(2 ** 32), rng.randrange(2 ** 32)
+
+
+def _oriented_unions(cases: list[tuple[int, int, int, int]]
+                     ) -> Iterator[tuple[list[int], Orientation]]:
+    """Unions of the cases of one degree, up to _UNION_STUBS stubs each,
+    built one at a time: per union, the indices of its cases and one
+    orientation whose components are those cases, in order. Component k is
+    the lone make_random_orientation(make_random_regular(n, d, graph seed),
+    orientation seed) of case k."""
+    by_degree: dict[int, list[int]] = {}
+    for i, case in enumerate(cases):
+        by_degree.setdefault(case[0], []).append(i)
+    for d, indices in by_degree.items():
+        for run in _runs([cases[i][1] * d for i in indices]):
+            idx = indices[run]
+            ns = [cases[i][1] for i in idx]
+            g = make_random_regular_union(ns, d, [cases[i][2] for i in idx])
+            yield idx, make_random_orientation_union(g, ns, [cases[i][3] for i in idx])
+
+
+def _median_cut_sizes(blocks: list[np.ndarray], seeds: list[int], d: int
+                      ) -> list[tuple[int, int]]:
+    """(k, cut size) for each case k below the median floor: case k is the
+    median cut of graph blocks[k] under random_labelling(seed=seeds[k])."""
+    ns = [len(b) for b in blocks]
+    shift = max(ns) ** 3 + 1  # random_labelling's IDs lie in [1, n^3]
+    g = _union(blocks, d)
+    lab = Labelling([x + k * shift for k, (n, s) in enumerate(zip(ns, seeds))
+                     for x in _random_ids(n, s, n ** 3)], id_bound=len(ns) * shift)
+    sizes = _per_case(cut_edges(g, median_cut(g, lab)), component_offsets(ns) * d // 2)
+    # the floor n/2 + (d^2 - 1)/4, times 4
+    low = np.flatnonzero(4 * sizes < 2 * np.array(ns) + d * d - 1)
+    return list(zip(low.tolist(), sizes[low].tolist()))
+
+
 def verify_median_floor(seed: int = 0, degrees: tuple[int, ...] = (3, 5, 7),
                         random_graphs: int = 50,
                         labellings_per_graph: int = 10) -> dict:
-    """Median cut >= n/2 + (d-1)(d+1)/4 on families and random graphs."""
+    """Median cut >= n/2 + (d-1)(d+1)/4 on families and random graphs.
+
+    Each (graph, labelling) case is one component of a union, and the
+    median rule runs once per union: case k's IDs are shifted by k(B+1),
+    B the largest ID bound, so every comparison stays inside its component
+    and each case gets the cut it gets alone. The floor is compared in
+    integers, as 4*cut < 2n + d^2 - 1.
+    """
     started = time.monotonic()
     rng = random.Random(seed)
     violations: list[str] = []
     cases = 0
     for d in degrees:
-        graphs = [make_double_circulant(n, d) for n in double_circulant_halves(d)]
+        blocks = [make_double_circulant(n, d).adj for n in double_circulant_halves(d)]
+        ns, seeds = [], []
         for _ in range(random_graphs):
-            n = _even_n(rng, d, 40)
-            graphs.append(make_random_regular(n, d, seed=rng.randrange(2 ** 32)))
-        floor_cache = {}
-        for g in graphs:
-            floor = floor_cache.setdefault(g.n, bounds.median_floor(g.n, d))
-            for _ in range(labellings_per_graph):
-                lab = random_labelling(g.n, seed=rng.randrange(2 ** 32))
-                size = cut_size(g, median_cut(g, lab))
-                cases += 1
-                if Fraction(size) < floor:
-                    violations.append(
-                        f"d={d} n={g.n} ids={lab.origin}: cut {size} < floor {floor}"
-                    )
+            ns.append(_even_n(rng, d, 40))
+            seeds.append(rng.randrange(2 ** 32))
+        if ns:
+            blocks += _blocks(make_random_regular_union(ns, d, seeds), ns)
+        lab_seeds = [rng.randrange(2 ** 32) for _ in blocks for _ in range(labellings_per_graph)]
+        if not lab_seeds:
+            continue
+        cases += len(lab_seeds)
+        for run in _runs([len(b) * d * labellings_per_graph for b in blocks]):
+            part = [b for b in blocks[run] for _ in range(labellings_per_graph)]
+            seeds = lab_seeds[run.start * labellings_per_graph:run.stop * labellings_per_graph]
+            for k, size in _median_cut_sizes(part, seeds, d):
+                n = len(part[k])
+                violations.append(
+                    f"d={d} n={n} ids={random_labelling(n, seed=seeds[k]).origin}: "
+                    f"cut {size} < floor {bounds.median_floor(n, d)}"
+                )
     return _report("median-floor", cases, violations, started)
 
 
@@ -108,21 +210,22 @@ def _ratio_records(degrees: tuple[int, ...], cases_per_degree: int,
     the same records and the oracle pass is the expensive part.
     """
     rng = random.Random(seed)
-    records = []
-    for d in degrees:
-        for _ in range(cases_per_degree):
-            n = _even_n(rng, d, max_n)
-            g = make_random_regular(n, d, seed=rng.randrange(2 ** 32))
-            o = make_random_orientation(g, seed=rng.randrange(2 ** 32))
+    cases = [_draw_case(rng, d, max_n) for d in degrees for _ in range(cases_per_degree)]
+    records: list[dict] = [{}] * len(cases)
+    for idx, union in _oriented_unions(cases):
+        d, offsets = union.graph.d, component_offsets([cases[i][1] for i in idx]).tolist()
+        for i, a, b in zip(idx, offsets[:-1], offsets[1:]):
+            g = RegularGraph(union.graph.adj[a:b] - a, d=d)
+            o = Orientation(g, union.arcs[a * d // 2:b * d // 2] - a)
             opt, witness = max_dicut_exact(o)
             dec = bounds.decompose(o, witness)
-            records.append({
+            records[i] = {
                 "d": d,
-                "n": n,
+                "n": g.n,
                 "opt": opt,
                 "cuts": dec.cut_sizes,
                 "verdicts": bounds.check_inequalities(dec),
-            })
+            }
     return tuple(records)
 
 
@@ -137,14 +240,15 @@ def verify_oriented_ratio(seed: int = 0,
     started = time.monotonic()
     rng = random.Random(seed)
     violations: list[str] = []
-    cases = 0
-    for i in range(floor_cases):
-        d = floor_degrees[i % len(floor_degrees)]
-        n = _even_n(rng, d, floor_max_n)
-        g = make_random_regular(n, d, seed=rng.randrange(2 ** 32))
-        o = make_random_orientation(g, seed=rng.randrange(2 ** 32))
-        size = dicut_size(o, oriented_median_cut(o))
-        cases += 1
+    floor = [_draw_case(rng, floor_degrees[i % len(floor_degrees)], floor_max_n)
+             for i in range(floor_cases)]
+    sizes = [0] * len(floor)
+    for idx, o in _oriented_unions(floor):
+        offsets = component_offsets([floor[i][1] for i in idx]) * o.graph.d // 2
+        for i, size in zip(idx, _per_case(dicut_arcs(o, oriented_median_cut(o)), offsets).tolist()):
+            sizes[i] = size
+    cases = len(floor)
+    for (d, n, _, _), size in zip(floor, sizes):
         if 2 * size < n:
             violations.append(f"d={d} n={n}: dicut {size} < n/2")
     for rec in _ratio_records(ratio_degrees, ratio_cases_per_degree,
@@ -217,29 +321,32 @@ def verify_two_flip_floor(seed: int = 0,
 def verify_flip_monotonicity(seed: int = 0, cases: int = 1000,
                              degrees: tuple[int, ...] = (3, 5, 7),
                              max_n: int = 30, flips: int = 4) -> dict:
-    """Stable sets and dicut arc sets only grow under simultaneous flips."""
+    """Stable sets and dicut arc sets only grow under simultaneous flips.
+
+    The cases are the components of a few unions of one degree each, and
+    each flip runs once per union; every check is split per case.
+    """
     started = time.monotonic()
     rng = random.Random(seed)
-    violations: list[str] = []
-    for i in range(cases):
-        d = degrees[i % len(degrees)]
-        n = _even_n(rng, d, max_n)
-        g = make_random_regular(n, d, seed=rng.randrange(2 ** 32))
-        o = make_random_orientation(g, seed=rng.randrange(2 ** 32))
+    corpus = [_draw_case(rng, degrees[i % len(degrees)], max_n) for i in range(cases)]
+    # bad[i, j]: case i's stable set shrank, arcs left, size fell at flip j
+    bad = np.zeros((cases, flips, 3), dtype=bool)
+    for idx, o in _oriented_unions(corpus):
+        g, voffsets = o.graph, component_offsets([corpus[i][1] for i in idx])
+        eoffsets = voffsets * g.d // 2
         c = oriented_median_cut(o)
         stable = stable_vertices(g, c)
         arcs = dicut_arcs(o, c)
-        for _ in range(flips):
+        for j in range(flips):
             c_next = unstable_flip_step(o, c)
             stable_next = stable_vertices(g, c_next)
             arcs_next = dicut_arcs(o, c_next)
-            if np.any(stable & ~stable_next):
-                violations.append(f"case {i}: stable set shrank")
-            if np.any(arcs & ~arcs_next):
-                violations.append(f"case {i}: dicut arcs left the cut")
-            if np.count_nonzero(arcs_next) < np.count_nonzero(arcs):
-                violations.append(f"case {i}: dicut size decreased")
+            bad[idx, j, 0] = _per_case(stable & ~stable_next, voffsets) > 0
+            bad[idx, j, 1] = _per_case(arcs & ~arcs_next, eoffsets) > 0
+            bad[idx, j, 2] = _per_case(arcs_next, eoffsets) < _per_case(arcs, eoffsets)
             c, stable, arcs = c_next, stable_next, arcs_next
+    what = ("stable set shrank", "dicut arcs left the cut", "dicut size decreased")
+    violations = [f"case {i}: {what[k]}" for i, _, k in zip(*np.nonzero(bad))]
     return _report("flip-monotonicity", cases, violations, started)
 
 

@@ -8,6 +8,7 @@ from hypothesis import settings, strategies as st
 
 from localcut import (
     LEFT,
+    SUITES,
     Labelling,
     NodeProgram,
     make_random_orientation,
@@ -46,6 +47,21 @@ def oriented_graphs(max_half: int = 8, degrees: tuple[int, ...] = (3, 5)):
         small_regular_graphs(max_half, degrees),
         st.integers(min_value=0, max_value=2 ** 32 - 1),
     )
+
+
+class DefaultReports(dict):
+    """Each suite's report at its defaults (seed 0), run on first lookup."""
+
+    def __missing__(self, suite: str) -> dict:
+        self[suite] = SUITES[suite]()
+        return self[suite]
+
+
+@pytest.fixture(scope="session")
+def default_reports():
+    """One run per session of every seed-0 default report that the
+    acceptance criteria and the golden file both check."""
+    return DefaultReports()
 
 
 def peak_bytes(fn) -> int:

@@ -3,7 +3,9 @@
 Each test prints exactly one PASS/FAIL line (run with -s to see them) and
 asserts the same condition, so the suite doubles as a human-readable report
 and a hard CI gate. Tolerances and corpus sizes are part of the contract;
-do not shrink them to make a run faster.
+do not shrink them to make a run faster. Criteria that check a suite at its
+defaults read the session's shared default reports (conftest.py), which
+tests/test_golden.py also pins, so each such corpus runs once per session.
 """
 
 from fractions import Fraction
@@ -32,17 +34,7 @@ from localcut import (
     two_flip_floor,
 )
 from localcut.generators import complete_graph
-from localcut.verify import (
-    verify_claim1,
-    verify_claim2,
-    verify_constructions,
-    verify_flip_inequalities,
-    verify_flip_monotonicity,
-    verify_folklore,
-    verify_median_floor,
-    verify_oriented_ratio,
-    verify_two_flip_floor,
-)
+from localcut.verify import verify_flip_monotonicity, verify_oriented_ratio
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -50,8 +42,8 @@ def verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_01_median_floor():
-    rep = verify_median_floor()
+def test_criterion_01_median_floor(default_reports):
+    rep = default_reports["median-floor"]
     ok = rep["pass"] and rep["elapsed_s"] < 60
     verdict(1, ok,
             f"median cut >= n/2 + (d-1)(d+1)/4 on {rep['cases']} cases, "
@@ -107,44 +99,44 @@ def test_criterion_06_flip_monotonicity():
             f"flip chains, {rep['violations']} violations")
 
 
-def test_criterion_07_flip_inequalities():
-    rep = verify_flip_inequalities()
+def test_criterion_07_flip_inequalities(default_reports):
+    rep = default_reports["flip-inequalities"]
     verdict(7, rep["pass"],
             f"all ten decomposition inequalities on {rep['cases']} cases "
             f"(includes both tight witnesses), {rep['violations']} violations")
 
 
-def test_criterion_08_two_flip_floor():
-    rep = verify_two_flip_floor()
+def test_criterion_08_two_flip_floor(default_reports):
+    rep = default_reports["two-flip-floor"]
     ok = rep["pass"] and two_flip_floor(3) == Fraction(71, 115)
     verdict(8, ok,
             f"CUT_2 >= two_flip_floor(d) * OPT on {rep['cases']} cases; "
             f"floor(3) = 71/115 exactly")
 
 
-def test_criterion_09_constructions():
-    rep = verify_constructions()
+def test_criterion_09_constructions(default_reports):
+    rep = default_reports["constructions"]
     verdict(9, rep["pass"],
             f"circulant families regular and bipartite on {rep['cases']} cases; "
             f"maxcut(C_12^4)=24, maxdicut(clockwise D_12^3)=9")
 
 
-def test_criterion_10_window_counts():
-    rep = verify_claim2()
+def test_criterion_10_window_counts(default_reports):
+    rep = default_reports["claim2"]
     verdict(10, rep["pass"],
             f"window edge count >= ld/2 - d(r-1)/2 - d^2/2 on {rep['cases']} "
             f"grids, {rep['violations']} violations")
 
 
-def test_criterion_11_tower_identity():
-    rep = verify_claim1()
+def test_criterion_11_tower_identity(default_reports):
+    rep = default_reports["claim1"]
     verdict(11, rep["pass"],
             f"log*(twr_k(n)) = k - 1 + log*(n) on {rep['cases']} representable "
             f"pairs ({rep['skipped']} skipped as too large)")
 
 
-def test_criterion_12_random_cut_average():
-    rep = verify_folklore()
+def test_criterion_12_random_cut_average(default_reports):
+    rep = default_reports["folklore"]
     verdict(12, rep["pass"],
             f"mean random cut {rep['mean']} vs m/2 = {rep['expected']} over "
             f"{rep['cases']} trials; {rep['below_045m']} below 0.45m")

@@ -26,7 +26,10 @@ from localcut import (
     make_double_circulant,
     make_extremal_labelling,
     make_id_orientation,
+    make_random_orientation,
+    make_random_orientation_union,
     make_random_regular,
+    make_random_regular_union,
     make_single_flip_stuck_instance,
     median_cut,
     orient_clockwise,
@@ -37,7 +40,7 @@ from localcut import (
 )
 import localcut
 from localcut import graphs as graphs_mod
-from localcut.generators import _pairing_attempt, _realize_bipartite
+from localcut.generators import _pairing_round, _realize_bipartite
 
 from conftest import peak_bytes
 
@@ -176,12 +179,49 @@ def test_random_regular_on_d_plus_one_vertices_is_complete(d):
         assert make_random_regular(d + 1, d, seed=seed) == complete_graph(d + 1)
 
 
+def first_attempt_stuck(n, d, seed):
+    return _pairing_round([n], d, [random.Random(seed)], [0], n)[1] == [0]
+
+
 def test_random_regular_raises_once_restarts_run_out():
-    stuck = next(seed for seed in range(1000)
-                 if _pairing_attempt(12, 3, random.Random(seed)) is None)
+    stuck = next(seed for seed in range(1000) if first_attempt_stuck(12, 3, seed))
     with pytest.raises(ConstructionError, match="1 restarts"):
         make_random_regular(12, 3, seed=stuck, max_restarts=1)
     assert validate_regular(make_random_regular(12, 3, seed=stuck).adj, 3)
+
+
+def test_union_raises_for_the_stuck_case_once_its_restarts_run_out():
+    stuck = next(seed for seed in range(1000) if first_attempt_stuck(12, 3, seed))
+    fine = next(seed for seed in range(1000) if not first_attempt_stuck(14, 3, seed))
+    with pytest.raises(ConstructionError,
+                       match=rf"1 restarts \(n=12, d=3, seed={stuck}\)"):
+        make_random_regular_union([14, 12, 14], 3, [fine, stuck, fine], max_restarts=1)
+    g = make_random_regular_union([14, 12], 3, [fine, stuck])
+    assert g.adj[14:].tolist() == (make_random_regular(12, 3, seed=stuck).adj + 14).tolist()
+
+
+def test_union_rejects_bad_cases():
+    for ns, d, seeds in [([], 3, []), ([4, 6], 3, [1]), ([4, 7], 3, [1, 2]),
+                         ([4, 3], 3, [1, 2]), ([2 ** 31, 2 ** 31], 0, [1, 2])]:
+        with pytest.raises(InvalidParameterError):
+            make_random_regular_union(ns, d, seeds)
+    g = make_random_regular_union([4, 6], 3, [1, 2])
+    with pytest.raises(InvalidParameterError):
+        make_random_orientation_union(g, [4, 4], [1, 2])
+    with pytest.raises(InvalidParameterError):
+        make_random_orientation_union(g, [4, 6], [1])
+
+
+def test_union_edges_are_the_cases_edges_in_case_order():
+    ns, seeds = [6, 4, 8], [5, 6, 7]
+    g = make_random_regular_union(ns, 3, seeds)
+    o = make_random_orientation_union(g, ns, [1, 2, 3])
+    parts = [make_random_orientation(make_random_regular(n, 3, seed=s), seed=t)
+             for n, s, t in zip(ns, seeds, [1, 2, 3])]
+    assert g.edges().tolist() == [[u + off, v + off] for off, p in zip([0, 6, 10], parts)
+                                  for u, v in p.graph.edges().tolist()]
+    assert o.arcs.tolist() == [[u + off, v + off] for off, p in zip([0, 6, 10], parts)
+                               for u, v in p.arcs.tolist()]
 
 
 def test_random_regular_leaves_numpy_random_unimported():

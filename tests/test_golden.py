@@ -1,8 +1,9 @@
 """Seeded verify reports, pinned: a speed-up must not change any output.
 
-`golden/verify_reports.json` holds every suite's seed-0 report and the
-folklore report at seed 3, as `localcut verify` prints them, less
-`elapsed_s`. Each report here must serialise to the same JSON text.
+`golden/verify_reports.json` holds every suite's report at seeds 0 and 3,
+as `localcut verify` prints them, less `elapsed_s`. Each report here must
+serialise to the same JSON text. The seed-0 reports are the session's
+shared default reports, which the acceptance criteria read as well.
 """
 
 import json
@@ -25,9 +26,11 @@ def as_json(report: dict) -> str:
 
 
 def test_golden_file_covers_every_suite():
-    assert sorted(GOLDEN["0"]) == sorted(SUITES)
+    assert sorted(GOLDEN) == ["0", "3"]
+    assert all(sorted(reports) == sorted(SUITES) for reports in GOLDEN.values())
 
 
 @pytest.mark.parametrize("seed,suite", CASES)
-def test_report_matches_golden(seed, suite):
-    assert as_json(SUITES[suite](seed=seed)) == as_json(GOLDEN[str(seed)][suite])
+def test_report_matches_golden(seed, suite, default_reports):
+    report = default_reports[suite] if seed == 0 else SUITES[suite](seed=seed)
+    assert as_json(report) == as_json(GOLDEN[str(seed)][suite])

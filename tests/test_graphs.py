@@ -195,6 +195,19 @@ def test_cut_from_left_set():
     assert set(c.sides.tolist()) <= {LEFT, RIGHT} and len(c.sides) == 4
 
 
+@pytest.mark.parametrize("left", [[0, 7, -2], [4], [-1], [0.5], [True], [2 ** 70], [[0, 1]]])
+def test_cut_from_left_set_rejects_other_vertices(left):
+    with pytest.raises(InvalidParameterError, match=r"integers in 0\.\.3"):
+        Cut.from_left_set(4, left)
+
+
+def test_cut_from_left_set_takes_any_integer_iterable():
+    want = [LEFT, RIGHT, LEFT, RIGHT]
+    for left in ([0, 2], (2, 0, 2), {0, 2}, range(0, 4, 2), np.array([2, 0], dtype=np.uint8)):
+        assert Cut.from_left_set(4, left).sides.tolist() == want
+    assert Cut.from_left_set(0, []).n == 0
+
+
 def test_cut_size_requires_total():
     g = complete_graph(3)
     with pytest.raises(InvalidParameterError):
@@ -269,6 +282,13 @@ def test_boundary_size():
     assert boundary_size(g, [0, 1]) == 4
     assert boundary_size(g, range(4)) == 0
     assert boundary_size(g, []) == 0
+    assert boundary_size(g, [0, 0, 1]) == 4
+
+
+@pytest.mark.parametrize("vertices", [[0, 1, 99], [8], [-1], [0, -3], [1.0], [None]])
+def test_boundary_size_rejects_other_vertices(vertices):
+    with pytest.raises(InvalidParameterError, match=r"integers in 0\.\.7"):
+        boundary_size(make_circulant(8, 2), vertices)
 
 
 def test_identity_labelling():

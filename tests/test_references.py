@@ -10,6 +10,7 @@ port-by-port engine and the copy-on-write programs they replaced.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from localcut import (
     BitSerializedMedianProgram,
     CongestionError,
+    ConstructionError,
     Cut,
     FlipProgram,
     InvalidParameterError,
@@ -41,13 +43,17 @@ from localcut import (
     identity_labelling,
     is_maximal_cut,
     make_circulant,
+    make_double_circulant,
     make_id_orientation,
     make_random_orientation,
+    make_random_orientation_union,
     make_random_regular,
+    make_random_regular_union,
     max_dicut_exact,
     median_cut,
     oriented_median_cut,
     random_cut,
+    random_labelling,
     read_graph,
     run,
     sequential_flip_to_maximal,
@@ -58,9 +64,10 @@ from localcut import (
     window_edge_count,
     window_edge_counts,
 )
+from localcut import bounds, verify
 from localcut.congest import RoundTrace, decode_id, encode_id
 from localcut.graphs import same_side_counts
-from localcut.verify import verify_claim2
+from localcut.verify import _even_n, _report, double_circulant_halves, verify_claim2
 
 from conftest import FaultyProgram, labelling_for, mutated_graph_files, text_source
 
@@ -465,6 +472,157 @@ def ref_window_edge_count(adj, start, length):
     return sum(1 for v in window for w in adj[v] if w in window) // 2
 
 
+def ref_pairing_attempt(n, d, rng):
+    """One pass of the stub-matching pairing model, one graph at a time, as
+    edge keys u*n+v, u < v; None when the leftover stubs get stuck."""
+    nd = n * d
+    draws = np.frombuffer(rng.getrandbits(64 * nd).to_bytes(8 * nd, "little"), dtype="<u8")
+    low = np.uint64((1 << max(nd - 1, 1).bit_length()) - 1)
+    order = np.argsort(draws & ~low | np.arange(nd, dtype=np.uint64))
+    pairs = (order // max(d, 1)).reshape(-1, 2)
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    keys = lo * n + hi
+    keep = lo != hi
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        seen = set()
+        found = np.searchsorted(repeated, keys).clip(max=repeated.size - 1)
+        at = np.flatnonzero(repeated[found] == keys)
+        for i, key in zip(at.tolist(), keys[at].tolist()):
+            keep[i] &= key not in seen
+            seen.add(key)
+    stubs = pairs[~keep].ravel().tolist()
+    if not stubs:
+        return keys
+    spare = np.zeros(n, dtype=bool)
+    spare[stubs] = True
+    taken = set(keys[keep & spare[lo] & spare[hi]].tolist())
+    extra = []
+    while stubs:
+        rng.shuffle(stubs)
+        leftover = {}
+        it = iter(stubs)
+        for u, v in zip(it, it):
+            if u > v:
+                u, v = v, u
+            if u != v and u * n + v not in taken:
+                taken.add(u * n + v)
+                extra.append(u * n + v)
+            else:
+                leftover[u] = leftover.get(u, 0) + 1
+                leftover[v] = leftover.get(v, 0) + 1
+        if leftover:
+            placeable = any(
+                u != v and min(u, v) * n + max(u, v) not in taken
+                for u in leftover for v in leftover
+            )
+            if not placeable:
+                return None
+        stubs = [v for v, count in leftover.items() for _ in range(count)]
+    return np.concatenate([keys[keep], np.array(extra, dtype=keys.dtype)])
+
+
+def ref_make_random_regular(n, d, seed, max_restarts=1000):
+    """The pairing model one graph at a time, restarting from scratch."""
+    rng = random.Random(seed)
+    for _ in range(max_restarts):
+        keys = ref_pairing_attempt(n, d, rng)
+        if keys is not None:
+            return RegularGraph.from_edges(n, np.stack([keys // n, keys % n], axis=1), d=d)
+    raise ConstructionError(
+        f"pairing model found no simple graph in {max_restarts} restarts "
+        f"(n={n}, d={d}, seed={seed})"
+    )
+
+
+def ref_make_random_orientation(g, seed):
+    """A fair getrandbits(1) coin per row (u, v) of edges(): 1 keeps u -> v."""
+    rng = random.Random(seed)
+    return Orientation(g, [[u, v] if rng.getrandbits(1) else [v, u]
+                           for u, v in g.edges().tolist()])
+
+
+def ref_verify_median_floor(seed, degrees, random_graphs, labellings_per_graph,
+                            rule=median_cut):
+    """verify_median_floor one (graph, labelling) case at a time."""
+    rng = random.Random(seed)
+    violations = []
+    cases = 0
+    for d in degrees:
+        graphs = [make_double_circulant(n, d) for n in double_circulant_halves(d)]
+        for _ in range(random_graphs):
+            n = _even_n(rng, d, 40)
+            graphs.append(ref_make_random_regular(n, d, seed=rng.randrange(2 ** 32)))
+        for g in graphs:
+            floor = bounds.median_floor(g.n, d)
+            for _ in range(labellings_per_graph):
+                lab = random_labelling(g.n, seed=rng.randrange(2 ** 32))
+                size = ref_cut_size(g.adj.tolist(), rule(g, lab).sides.tolist())
+                cases += 1
+                if Fraction(size) < floor:
+                    violations.append(
+                        f"d={d} n={g.n} ids={lab.origin}: cut {size} < floor {floor}"
+                    )
+    return _report("median-floor", cases, violations, 0.0)
+
+
+def ref_oriented_case(rng, d, max_n):
+    n = _even_n(rng, d, max_n)
+    g = ref_make_random_regular(n, d, seed=rng.randrange(2 ** 32))
+    return ref_make_random_orientation(g, seed=rng.randrange(2 ** 32))
+
+
+def ref_verify_oriented_ratio(seed, floor_degrees, floor_cases, floor_max_n, ratio_degrees,
+                              ratio_cases_per_degree, ratio_max_n, rule=oriented_median_cut):
+    """verify_oriented_ratio one orientation at a time, oracle corpus uncached."""
+    rng = random.Random(seed)
+    violations = []
+    cases = 0
+    for i in range(floor_cases):
+        d = floor_degrees[i % len(floor_degrees)]
+        o = ref_oriented_case(rng, d, floor_max_n)
+        size = len(ref_dicut_arcs(o.arcs.tolist(), rule(o).sides.tolist()))
+        cases += 1
+        if 2 * size < o.graph.n:
+            violations.append(f"d={d} n={o.graph.n}: dicut {size} < n/2")
+    rng = random.Random(seed)
+    for d in ratio_degrees:
+        for _ in range(ratio_cases_per_degree):
+            o = ref_oriented_case(rng, d, ratio_max_n)
+            opt, witness = max_dicut_exact(o)
+            cut0 = decompose(o, witness).cut_sizes[0]
+            ratio = bounds.oriented_ratio(d)
+            cases += 1
+            if Fraction(cut0) < ratio * opt:
+                violations.append(f"d={d} n={o.graph.n}: dicut {cut0} < {ratio} * OPT({opt})")
+    return _report("oriented-ratio", cases, violations, 0.0)
+
+
+def ref_verify_flip_monotonicity(seed, cases, degrees, max_n, flips,
+                                 rule=oriented_median_cut, step=unstable_flip_step):
+    """verify_flip_monotonicity one flip chain at a time, on sets of vertices and arcs."""
+    rng = random.Random(seed)
+    violations = []
+    for i in range(cases):
+        o = ref_oriented_case(rng, degrees[i % len(degrees)], max_n)
+        adj, arcs = o.graph.adj.tolist(), o.arcs.tolist()
+        c = rule(o)
+        stable, cut = ref_stable(adj, c.sides.tolist()), ref_dicut_arcs(arcs, c.sides.tolist())
+        for _ in range(flips):
+            c = step(o, c)
+            stable_next = ref_stable(adj, c.sides.tolist())
+            cut_next = ref_dicut_arcs(arcs, c.sides.tolist())
+            if not stable <= stable_next:
+                violations.append(f"case {i}: stable set shrank")
+            if not cut <= cut_next:
+                violations.append(f"case {i}: dicut arcs left the cut")
+            if len(cut_next) < len(cut):
+                violations.append(f"case {i}: dicut size decreased")
+            stable, cut = stable_next, cut_next
+    return _report("flip-monotonicity", cases, violations, 0.0)
+
+
 
 # --- instances -------------------------------------------------------------------
 
@@ -779,6 +937,151 @@ def test_random_streams_equal_one_bit_draws(seed):
     rng = random.Random(seed)
     want = [[u, v] if rng.getrandbits(1) else [v, u] for u, v in g.edges().tolist()]
     assert make_random_orientation(g, seed).arcs.tolist() == want
+
+
+# --- union corpora ----------------------------------------------------------------
+
+def construction_outcome(build):
+    """What build() returns, or the message of the ConstructionError it raises."""
+    try:
+        return build()
+    except ConstructionError as exc:
+        return str(exc)
+
+
+@st.composite
+def union_cases(draw):
+    """A degree in {0, 1, 3, 5, 7}, one to five vertex counts from d + 1 up
+    (so n = d + 1 comes up), a seed per case and a restart budget."""
+    d = draw(st.sampled_from([0, 1, 3, 5, 7]))
+    ns = [n + n * d % 2 for n in draw(st.lists(
+        st.integers(min_value=d + 1, max_value=d + 12), min_size=1, max_size=5))]
+    case_seeds = draw(st.lists(seeds, min_size=len(ns), max_size=len(ns)))
+    return d, ns, case_seeds, draw(st.sampled_from([1, 2, 1000]))
+
+
+def check_union_against_references(d, ns, graph_seeds, max_restarts, orient_seed=0):
+    refs = [construction_outcome(lambda n=n, s=s: ref_make_random_regular(n, d, s, max_restarts))
+            for n, s in zip(ns, graph_seeds)]
+    for n, s, ref in zip(ns, graph_seeds, refs):
+        assert construction_outcome(lambda: make_random_regular(n, d, s, max_restarts)) == ref
+    errors = [ref for ref in refs if isinstance(ref, str)]
+    if errors:  # the first case that runs out of restarts is the one named
+        with pytest.raises(ConstructionError) as exc:
+            make_random_regular_union(ns, d, graph_seeds, max_restarts)
+        assert str(exc.value) == errors[0]
+        return
+    g = make_random_regular_union(ns, d, graph_seeds, max_restarts)
+    orient_seeds = [orient_seed + k for k in range(len(ns))]
+    o = make_random_orientation_union(g, ns, orient_seeds)
+    first = 0
+    for n, ref, orient in zip(ns, refs, orient_seeds):
+        last = first + n
+        assert g.adj[first:last].tolist() == (ref.adj + first).tolist()
+        arcs = ref_make_random_orientation(ref, orient).arcs + first
+        assert o.arcs[first * d // 2:last * d // 2].tolist() == arcs.tolist()
+        first = last
+    assert first == g.n
+
+
+@given(union_cases(), seeds)
+@settings(max_examples=150)
+def test_union_components_match_the_one_graph_model(case, orient_seed):
+    d, ns, graph_seeds, max_restarts = case
+    check_union_against_references(d, ns, graph_seeds, max_restarts, orient_seed)
+
+
+@pytest.mark.parametrize("n,d", [(12, 3), (10, 5), (14, 7)])
+def test_union_replays_every_case_restart(n, d):
+    # cases whose first attempt gets stuck sit between cases that do not
+    stuck = [s for s in range(300) if ref_pairing_attempt(n, d, random.Random(s)) is None]
+    fine = [s for s in range(300) if ref_pairing_attempt(n, d, random.Random(s)) is not None]
+    assert len(stuck) >= 3 and len(fine) >= 2
+    graph_seeds = [fine[0], stuck[0], stuck[1], fine[1], stuck[2]]
+    check_union_against_references(d, [n] * 5, graph_seeds, 1000)
+    check_union_against_references(d, [n] * 5, graph_seeds, 1)
+
+
+def faulty_median_cut(g, lab):
+    """Only the local minima of the IDs go LEFT."""
+    ids = lab.id_array()
+    return Cut(np.where(ids[g.adj].min(axis=1) > ids, LEFT, RIGHT))
+
+
+def faulty_deficit_cut(o):
+    """The deficit rule with every source and sink on the wrong side."""
+    delta = o.deficits
+    return Cut(np.where((delta > 0) ^ (abs(delta) == o.graph.d), LEFT, RIGHT))
+
+
+def faulty_flip_step(o, c):
+    """Flips the unstable vertices and every sink as well."""
+    flip = (same_side_counts(o.graph, c) == o.graph.d) | (o.deficits == -o.graph.d)
+    return Cut(c.sides ^ flip)
+
+
+REFERENCE_SUITES = {
+    "median-floor": (ref_verify_median_floor, {"median_cut": faulty_median_cut},
+                     {"rule": faulty_median_cut}),
+    "oriented-ratio": (ref_verify_oriented_ratio, {"oriented_median_cut": faulty_deficit_cut},
+                       {"rule": faulty_deficit_cut}),
+    "flip-monotonicity": (ref_verify_flip_monotonicity, {"unstable_flip_step": faulty_flip_step},
+                          {"step": faulty_flip_step}),
+}
+
+
+def union_and_reference_reports(suite, seed, params, faulty, union_stubs):
+    """The suite's report and its per-case reference's, less elapsed_s; with
+    `faulty`, both run the suite's local rule swapped for a wrong one."""
+    reference, patches, rules = REFERENCE_SUITES[suite]
+    with mock.patch.dict(vars(verify), {"_UNION_STUBS": union_stubs, **(patches if faulty else {})}):
+        got = verify.SUITES[suite](seed=seed, **params)
+    want = reference(seed, **params, **(rules if faulty else {}))
+    return [{k: v for k, v in report.items() if k != "elapsed_s"} for report in (got, want)]
+
+
+@st.composite
+def suite_runs(draw):
+    """A suite with a union corpus, its seed, small parameters, whether its
+    rule is faulty, and the stub budget per union (1 gives one case each)."""
+    suite = draw(st.sampled_from(sorted(REFERENCE_SUITES)))
+    degrees = tuple(draw(st.lists(st.sampled_from([3, 5, 7]), min_size=1, max_size=3)))
+    small = st.integers(min_value=0, max_value=12)
+    if suite == "median-floor":
+        params = {"degrees": degrees, "random_graphs": draw(st.integers(0, 4)),
+                  "labellings_per_graph": draw(st.integers(0, 3))}
+    elif suite == "oriented-ratio":
+        params = {"floor_degrees": degrees, "floor_cases": draw(small),
+                  "floor_max_n": draw(st.integers(10, 60)),
+                  "ratio_degrees": tuple(draw(st.lists(st.sampled_from([3, 5]), max_size=2))),
+                  "ratio_cases_per_degree": draw(st.integers(0, 3)),
+                  "ratio_max_n": draw(st.integers(8, 14))}
+    else:
+        params = {"cases": draw(small), "degrees": degrees,
+                  "max_n": draw(st.integers(10, 30)), "flips": draw(st.integers(0, 5))}
+    return (suite, draw(seeds), params, draw(st.booleans()),
+            draw(st.sampled_from([1, 150, 1 << 14])))
+
+
+@given(suite_runs())
+@settings(max_examples=120)
+def test_union_suites_match_per_case_references(run):
+    got, want = union_and_reference_reports(*run)
+    assert got == want
+
+
+@pytest.mark.parametrize("suite,params", [
+    ("median-floor", {"degrees": (3, 5), "random_graphs": 4, "labellings_per_graph": 2}),
+    ("oriented-ratio", {"floor_degrees": (3, 5, 7), "floor_cases": 30, "floor_max_n": 100,
+                        "ratio_degrees": (3,), "ratio_cases_per_degree": 2, "ratio_max_n": 12}),
+    ("flip-monotonicity", {"cases": 12, "degrees": (3, 5, 7), "max_n": 30, "flips": 4}),
+])
+@pytest.mark.parametrize("union_stubs", [1, 150, 1 << 14])
+def test_faulty_rules_give_the_references_violations(suite, params, union_stubs):
+    got, want = union_and_reference_reports(suite, 1, params, True, union_stubs)
+    assert got == want
+    named = {text.split(":")[0] for text in got["first_violations"]}
+    assert 1 < len(named) < got["cases"]  # some cases fail, not all
 
 
 # --- graph files -----------------------------------------------------------------
