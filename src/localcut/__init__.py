@@ -7,8 +7,7 @@ The package bundles four layers:
 * the one-round median rule and the zero-round oriented variant with its
   flip post-processing (:mod:`localcut.algorithms`), plus a message-passing
   simulator that charges bits per round (:mod:`localcut.congest`),
-* brute-force oracles for exact MaxCut/MaxDiCut and adversarial ID searches
-  (:mod:`localcut.oracle`),
+* brute-force oracles for exact MaxCut/MaxDiCut (:mod:`localcut.oracle`),
 * the guarantee ledger: closed-form floors, the flip decomposition with its
   inequality checks, and batch verification suites (:mod:`localcut.bounds`,
   :mod:`localcut.verify`).
@@ -101,7 +100,6 @@ from .graphs import (
     validate_regular,
 )
 from .oracle import (
-    adversarial_labelling_search,
     enumerate_max_dicuts,
     max_cut_exact,
     max_dicut_exact,

@@ -15,6 +15,7 @@ Python ints) live in a separate Labelling so a graph can carry many.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import deque
 from typing import Iterable, Optional, Sequence
@@ -222,15 +223,24 @@ def deficit_partition(o: Orientation) -> tuple[tuple[int, ...], tuple[int, ...],
 class Labelling:
     """Injective assignment of positive integer IDs to vertices.
 
-    `ids` is a tuple of Python ints, since IDs may exceed 64 bits. Default
-    ID space is [1, n^3], the usual polynomial ID assumption. `origin`
-    records how the labelling was produced (pattern name, search seed);
-    purely informational.
+    `ids` is a tuple of Python ints, since IDs may exceed 64 bits. Every
+    ID must be a Python or numpy integer other than a bool; anything else
+    (floats, strings) raises InvalidParameterError rather than being
+    truncated. Default ID space is [1, n^3], the usual polynomial ID
+    assumption. `origin` records how the labelling was produced (pattern
+    name, seed); purely informational.
     """
 
     def __init__(self, ids: Sequence[int], id_bound: Optional[int] = None,
                  origin: Optional[str] = None):
-        ids = tuple(int(x) for x in ids)
+        # read twice below: copy a one-shot iterable, but not a list
+        raw = ids if isinstance(ids, (list, tuple)) else tuple(ids)
+        try:
+            ids = tuple(map(operator.index, raw))
+        except TypeError:
+            raise InvalidParameterError("IDs must be integers") from None
+        if bool in set(map(type, raw)):
+            raise InvalidParameterError("IDs must be integers, not bools")
         n = len(ids)
         if id_bound is None:
             id_bound = n ** 3

@@ -1,44 +1,50 @@
-"""Brute-force ground truth: exact MaxCut / MaxDiCut and adversarial IDs.
+"""Brute-force ground truth: exact MaxCut and MaxDiCut.
 
 All three exact solvers share one meet-in-the-middle kernel (the two-way
 form of R. Williams, "A new algorithm for optimal 2-constraint satisfaction
-and its implications", TCS 2005). The vertices split into a low half L
-(0..k-1, k = n // 2) and a high half H; a mask is `h << k | l`, bit v set
-meaning v is on the LEFT. The dicut size of a mask is the quadratic form
-x.out - x Q x^T over the arc matrix Q, which separates into a score of l, a
-score of h and a cross term bits(h) W bits(l)^T. So each block of H rows
-costs one float32 matrix product; every entry is a small integer, so the
-float arithmetic is exact. MaxCut is the MaxDiCut of both arcs of every
-edge. The budgets (n <= 24 for MaxDiCut, n <= 30 for MaxCut, which also
-has a bipartite shortcut, n <= 16 for listing every optimum) bound the
-2^n work. The solvers are deliberately independent of the algorithm
-implementations they certify: nothing here calls median_cut or friends
-except through the caller-supplied callable in the labelling search.
+and its implications", TCS 2005; the split is that of Horowitz & Sahni,
+JACM 1974). The vertices split into a low half L (0..k-1, k = n // 2) and a
+high half H; a mask is `h << k | l`, bit v set meaning v is on the LEFT.
+The dicut size of a mask is lo[l] + hi[h] + the sum of C[j, l] over the
+bits j of h. Here lo and hi score each half alone (arcs leaving its chosen
+vertices minus arcs among them), and C[j, l] is minus the arcs between high
+vertex j and the low subset l. So the cross term is an additive subset sum,
+and every table is built by doubling, one numpy add per bit:
+T[2^j : 2^(j+1)] = T[:2^j] + row_j.
+
+A block of H rows is one int16 array of about _BLOCK_CELLS cells, small
+enough to stay in cache: the subset-sum table of C over the block's low
+high-bits (built once per call), plus a column lo + the C rows of the block
+index's other bits (one add per block, from a prefix stack), plus hi. No
+matrix product and no BLAS is involved. The arithmetic is exact because it
+is integer: with A arcs, every table entry and every partial sum lies in
+[-A, A], so int16 holds it for A <= 32767, and more arcs raise
+InvariantError (within the budgets A <= 870).
+
+MaxCut is the MaxDiCut of both arcs of every edge. The budgets (n <= 24
+for MaxDiCut, n <= 30 for MaxCut, which also has a bipartite shortcut,
+n <= 16 for listing every optimum) bound the 2^n work. The solvers are
+deliberately independent of the algorithm implementations they certify.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-import random
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetError, InvalidParameterError
+from .errors import BudgetError, InvariantError
 from .graphs import (
     Cut,
     LEFT,
     RIGHT,
-    Labelling,
     Orientation,
     RegularGraph,
-    cut_size,
     is_bipartite,
 )
 
-# Cells per score block: 2^20 float32 values, about 4 MB.
-_BLOCK_CELLS = 1 << 20
+# Cells per score block: 2^17 int16 values, 256 KiB.
+_BLOCK_CELLS = 1 << 17
 
 
 def _mask_to_cut(mask: int, n: int) -> Cut:
@@ -46,9 +52,25 @@ def _mask_to_cut(mask: int, n: int) -> Cut:
     return Cut([LEFT if (mask >> v) & 1 else RIGHT for v in range(n)])
 
 
-def _bits(width: int, rows: int) -> np.ndarray:
-    """Row r holds bit v of r in column v, for r < rows."""
-    return ((np.arange(rows)[:, None] >> np.arange(width)) & 1).astype(np.float32)
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """t[m] = the sum of rows[j] over the bits j of m, for m < 2^len(rows)."""
+    t = np.zeros((1 << len(rows),) + rows.shape[1:], dtype=np.int16)
+    for j, row in enumerate(rows):
+        np.add(t[:1 << j], row, out=t[1 << j:2 << j])
+    return t
+
+
+def _score_table(gain: np.ndarray) -> np.ndarray:
+    """t[m] = the sum of gain[m mod 2^j, j] over the bits j of m.
+
+    With gain[m, j] = out[j] - (arcs between j and the vertices of m), t[m]
+    is the arcs leaving the vertices of m minus the arcs among them:
+    doubling adds vertex j to the subsets of the vertices below it.
+    """
+    t = np.zeros(1 << gain.shape[1], dtype=np.int16)
+    for j in range(gain.shape[1]):
+        np.add(t[:1 << j], gain[:1 << j, j], out=t[1 << j:2 << j])
+    return t
 
 
 def _dicut_blocks(n: int, arcs, masks: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -56,24 +78,39 @@ def _dicut_blocks(n: int, arcs, masks: int) -> Iterator[tuple[int, np.ndarray]]:
 
     Yields (first, scores) where scores[i, j] is the size of mask
     first + i * 2^k + j, so a row-major scan of the blocks visits the masks
-    in ascending order. `masks` is 2^n, or 2^(n-1) to pin vertex n-1 RIGHT.
+    in ascending order. `scores` is one buffer, overwritten by the next
+    block. `masks` is 2^n, or 2^(n-1) to pin vertex n-1 RIGHT.
     """
+    if len(arcs) > np.iinfo(np.int16).max:
+        raise InvariantError(
+            f"{len(arcs)} arcs overflow the int16 scores (at most 32767)"
+        )
     k = n // 2
-    q = np.zeros((n, n), dtype=np.float32)
+    q = np.zeros((n, n), dtype=np.int16)
     np.add.at(q, (arcs[:, 0], arcs[:, 1]), 1)
-    out = np.bincount(arcs[:, 0], minlength=n).astype(np.float32)
+    np.fill_diagonal(q, 0)  # a loop is never cut
+    out = q.sum(axis=1, dtype=np.int16)
     rows = masks >> k
-    bl, bh = _bits(k, 1 << k), _bits(n - k, rows)
-    lo = bl @ out[:k] - ((bl @ q[:k, :k]) * bl).sum(axis=1)
-    hi = bh @ out[k:] - ((bh @ q[k:, k:]) * bh).sum(axis=1)
-    cross = q[k:, :k] + q[:k, k:].T
-    # scores = [bits(h) | hi | 1] @ [-cross bits(l)^T ; 1 ; lo]
-    h_mat = np.hstack([bh, hi[:, None], np.ones((rows, 1), dtype=np.float32)])
-    l_mat = np.vstack([-(cross @ bl.T), np.ones((1, 1 << k), dtype=np.float32),
-                       lo[None, :]])
-    step = max(1, _BLOCK_CELLS >> k)
-    for r in range(0, rows, step):
-        yield r << k, h_mat[r:r + step] @ l_mat
+    hb = rows.bit_length() - 1  # high vertices the masks reach
+    b = min(hb, max(0, (_BLOCK_CELLS >> k).bit_length() - 1))  # per block
+    between = q + q.T
+    # low[l, v] = minus the arcs between vertex v and the low subset l
+    low = _subset_sums(-between[:k, :k + hb])
+    lo = _score_table(low[:, :k] + out[:k])
+    hi = _score_table(_subset_sums(-between[k:k + hb, k:k + hb]) + out[k:k + hb])
+    c = np.ascontiguousarray(low[:, k:].T)  # c[j, l]: high vertex j vs l
+    local = _subset_sums(c[:b])
+    scores = np.empty_like(local)
+    # cols[i] = lo + the c rows of the block index's bits >= i
+    cols = [lo] * (hb - b + 1)
+    for block in range(rows >> b):
+        if block:
+            p = (block & -block).bit_length() - 1
+            cols[p] = cols[p + 1] + c[b + p]
+            cols[:p] = [cols[p]] * p
+        np.add(local, cols[0], out=scores)
+        scores += hi[block << b:(block + 1) << b, None]
+        yield block << (b + k), scores
 
 
 def _best_dicut(n: int, arcs, masks: int) -> tuple[int, Cut]:
@@ -115,68 +152,20 @@ def max_dicut_exact(o: Orientation, budget: int = 24) -> tuple[int, Cut]:
 
 
 def enumerate_max_dicuts(o: Orientation, budget: int = 16) -> tuple[int, list[Cut]]:
-    """All optimal directed cuts (ties included), in ascending mask order."""
+    """All optimal directed cuts (ties included), in ascending mask order.
+
+    Streams the blocks, keeping only the masks that tie the running best.
+    """
     n = o.graph.n
     if n > budget:
         raise BudgetError(
             f"witness enumeration wants n <= {budget}, got {n}"
         )
-    scores = np.concatenate([s.ravel() for _, s in _dicut_blocks(n, o.arcs, 1 << n)])
-    best = scores.max()
-    return int(best), [_mask_to_cut(int(m), n) for m in np.flatnonzero(scores == best)]
-
-
-def adversarial_labelling_search(
-    g: RegularGraph,
-    algorithm: Callable[[RegularGraph, Labelling], Cut],
-    mode: str = "anneal",
-    budget: int = 10 ** 6,
-    seed: int = 0,
-) -> tuple[Labelling, int]:
-    """Smallest algorithm cut over labellings, by exhaustion or annealing.
-
-    mode "exhaustive": all n! assignments of IDs 1..n (pre: n <= 9).
-    mode "anneal": seeded simulated annealing over ID permutations with
-    swap-two moves and geometric cooling, `budget` moves total. Determinism
-    comes from the single seed.
-    """
-    if mode == "exhaustive":
-        if g.n > 9:
-            raise BudgetError(
-                f"exhaustive search is n! evaluations; n={g.n} exceeds 9"
-            )
-        best_ids, best_size = None, None
-        for perm in itertools.permutations(range(1, g.n + 1)):
-            lab = Labelling(perm)
-            size = cut_size(g, algorithm(g, lab))
-            if best_size is None or size < best_size:
-                best_ids, best_size = perm, size
-        return Labelling(best_ids, origin="exhaustive"), best_size
-
-    if mode != "anneal":
-        raise InvalidParameterError(f"mode must be 'exhaustive' or 'anneal', got {mode!r}")
-    if budget < 1:
-        raise InvalidParameterError("budget must be >= 1")
-    rng = random.Random(seed)
-    ids = list(range(1, g.n + 1))
-    rng.shuffle(ids)
-    current = cut_size(g, algorithm(g, Labelling(ids)))
-    best_ids, best_size = list(ids), current
-    t0, t_end = max(2.0, float(g.d)), 0.01
-    cooling = (t_end / t0) ** (1.0 / budget)
-    temp = t0
-    for _ in range(budget):
-        i, j = rng.sample(range(g.n), 2)
-        ids[i], ids[j] = ids[j], ids[i]
-        size = cut_size(g, algorithm(g, Labelling(ids)))
-        if size <= current or rng.random() < math.exp((current - size) / temp):
-            current = size
-            if size < best_size:
-                best_ids, best_size = list(ids), size
-        else:
-            ids[i], ids[j] = ids[j], ids[i]
-        temp *= cooling
-    return (
-        Labelling(best_ids, origin=f"anneal(seed={seed},budget={budget})"),
-        best_size,
-    )
+    best, ties = -1, []
+    for first, scores in _dicut_blocks(n, o.arcs, 1 << n):
+        top = int(scores.max())
+        if top > best:
+            best, ties = top, []
+        if top == best:
+            ties.extend((first + np.flatnonzero(scores == best)).tolist())
+    return best, [_mask_to_cut(m, n) for m in ties]

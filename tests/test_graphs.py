@@ -129,6 +129,28 @@ def test_labelling_rejects_out_of_bound_ids():
     Labelling([1, 8], id_bound=8)  # boundary is inclusive
 
 
+@pytest.mark.parametrize("ids", [
+    [1.5, 2.7, 3.2],
+    [1.0, 2, 3],
+    np.array([1.0, 2.0, 3.9]),
+    ["1", "2", "3"],
+    [True, 2, 3],
+    [np.True_, 2],
+    iter([True, 2]),
+    [None, 2],
+])
+def test_labelling_rejects_non_integer_ids(ids):
+    with pytest.raises(InvalidParameterError):
+        Labelling(ids)
+
+
+def test_labelling_takes_python_and_numpy_integers():
+    assert Labelling(np.array([3, 1, 2], dtype=np.uint8)).ids == (3, 1, 2)
+    assert Labelling([np.int64(2), 1, np.int32(3)]).ids == (2, 1, 3)
+    assert all(type(x) is int for x in Labelling(np.arange(1, 4)).ids)
+    assert Labelling([2 ** 70, 1], id_bound=2 ** 71).max_id == 2 ** 70
+
+
 def test_labelling_default_bound_is_n_cubed():
     assert Labelling([1, 2, 3]).id_bound == 27
     Labelling([1, 2, 27])

@@ -1,4 +1,4 @@
-"""Brute-force oracles against slow reference enumeration, plus the search."""
+"""Brute-force oracles against slow reference enumeration."""
 
 import itertools
 from unittest import mock
@@ -10,12 +10,10 @@ from hypothesis import given, settings, strategies as st
 from localcut import (
     BudgetError,
     Cut,
-    InvalidParameterError,
     LEFT,
     Orientation,
     RIGHT,
     RegularGraph,
-    adversarial_labelling_search,
     complete_graph,
     cut_size,
     dicut_size,
@@ -27,11 +25,10 @@ from localcut import (
     make_random_regular,
     max_cut_exact,
     max_dicut_exact,
-    median_cut,
     orient_clockwise,
     oriented_median_cut,
 )
-from localcut import oracle
+from localcut import InvariantError, oracle
 
 from conftest import oriented_graphs, small_regular_graphs
 
@@ -57,9 +54,13 @@ def reference_max_dicut(o) -> int:
 # optimal cut of lowest mask (bit v set <=> v on the LEFT).
 
 def per_arc_dicut_sizes(o) -> np.ndarray:
-    masks = np.arange(1 << o.graph.n, dtype=np.int64)
+    return per_arc_sizes(o.graph.n, o.arcs)
+
+
+def per_arc_sizes(n, arcs) -> np.ndarray:
+    masks = np.arange(1 << n, dtype=np.int64)
     acc = np.zeros(masks.size, dtype=np.uint16)
-    for t, h in o.arcs:
+    for t, h in arcs:
         acc += (((masks >> t) & ~(masks >> h)) & 1).astype(np.uint16)
     return acc
 
@@ -85,26 +86,85 @@ def orientations_up_to_16(draw):
     return make_random_orientation(g, seed=draw(seeds))
 
 
-@pytest.mark.parametrize("block_cells", [oracle._BLOCK_CELLS, 8])
+def kernel_scores(n, arcs, masks) -> np.ndarray:
+    """Every score the kernel yields, in mask order; each block is copied,
+    since the kernel overwrites one buffer."""
+    blocks, size = [], 0
+    for first, scores in oracle._dicut_blocks(n, arcs, masks):
+        assert first == size
+        blocks.append(scores.ravel().copy())
+        size += scores.size
+    assert size == masks
+    return np.concatenate(blocks)
+
+
+# Block sizes for n <= 16: 1 << 20 holds every instance in one block, as the
+# default 2^17 does; 8 splits it into many one- or few-row blocks, so the
+# strict-greater rule across blocks decides the witness; "two-rows" puts one
+# bit of the high half in each block, so the in-block table and the
+# per-block column both carry part of every mask.
+ONE_BLOCK = 1 << 20
+
+
+def block_cells_for(block_cells, n):
+    return 2 << (n // 2) if block_cells == "two-rows" else block_cells
+
+
+@pytest.mark.parametrize("block_cells", [ONE_BLOCK, 8, "two-rows"])
 @given(orientations_up_to_16())
 @settings(max_examples=60)
 def test_kernel_matches_per_arc_reference(block_cells, o):
-    # block_cells=8 splits every instance into many one- or few-row blocks,
-    # so the strict-greater rule across blocks decides the witness.
     n = o.graph.n
     acc = per_arc_dicut_sizes(o)
     best = int(acc.max())
-    with mock.patch.object(oracle, "_BLOCK_CELLS", block_cells):
+    with mock.patch.object(oracle, "_BLOCK_CELLS", block_cells_for(block_cells, n)):
+        assert np.array_equal(kernel_scores(n, o.arcs, 1 << n), acc)
         assert max_dicut_exact(o) == (best, mask_cut(np.argmax(acc), n))
         assert enumerate_max_dicuts(o) == (
             best, [mask_cut(m, n) for m in np.flatnonzero(acc == best)])
         if not is_bipartite(o.graph)[0]:
+            e = o.graph.edges()
             acc = per_edge_cut_sizes(o.graph)
+            assert np.array_equal(
+                kernel_scores(n, np.vstack([e, e[:, ::-1]]), 1 << (n - 1)), acc)
             assert max_cut_exact(o.graph) == (int(acc.max()),
                                               mask_cut(np.argmax(acc), n))
 
 
-@pytest.mark.parametrize("block_cells", [oracle._BLOCK_CELLS, 8])
+def test_kernel_matches_per_arc_reference_across_default_blocks():
+    # n=20 spans several blocks at the default block size.
+    o = make_random_orientation(make_random_regular(20, 3, seed=4), seed=5)
+    acc = per_arc_dicut_sizes(o)
+    assert oracle._BLOCK_CELLS < acc.size
+    assert np.array_equal(kernel_scores(20, o.arcs, 1 << 20), acc)
+    assert max_dicut_exact(o) == (int(acc.max()), mask_cut(np.argmax(acc), 20))
+
+
+@given(st.integers(min_value=1, max_value=9), st.data())
+@settings(max_examples=40)
+def test_kernel_matches_per_arc_reference_on_multigraphs(n, data):
+    # Loops and parallel arcs, as a quotient multigraph would have them.
+    arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=40))
+    arcs = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+    with mock.patch.object(oracle, "_BLOCK_CELLS", data.draw(st.sampled_from([8, ONE_BLOCK]))):
+        assert np.array_equal(kernel_scores(n, arcs, 1 << n), per_arc_sizes(n, arcs))
+
+
+@pytest.mark.parametrize("arc", [(0, 1), (1, 0), (0, 0)])
+def test_kernel_int16_guard(arc):
+    # Scores and partial sums stay in [-A, A] for A arcs: the largest A the
+    # int16 tables hold is exact, and one more arc is refused.
+    arcs = np.array([arc] * 32767)
+    expected = np.zeros(4, dtype=np.int64)
+    if arc[0] != arc[1]:
+        expected[1 << arc[0]] = 32767
+    assert np.array_equal(kernel_scores(2, arcs, 4), expected)
+    with pytest.raises(InvariantError):
+        next(oracle._dicut_blocks(2, np.array([arc] * 32768), 4))
+
+
+@pytest.mark.parametrize("block_cells", [ONE_BLOCK, 8])
 def test_max_cut_non_bipartite_witness(block_cells):
     g = make_random_regular(15, 4, seed=3)  # odd n: never bipartite
     acc = per_edge_cut_sizes(g)
@@ -210,49 +270,3 @@ def test_enumerate_max_dicuts_budget():
     o = orient_clockwise(make_circulant(18, 4))
     with pytest.raises(BudgetError):
         enumerate_max_dicuts(o)
-
-
-# --- adversarial labelling search ------------------------------------------
-
-def test_exhaustive_search_k4():
-    g = complete_graph(4)
-    lab, best = adversarial_labelling_search(g, median_cut, mode="exhaustive")
-    assert best == 4  # every labelling of K4 gives the same cut size
-    assert cut_size(g, median_cut(g, lab)) == 4
-
-
-def test_exhaustive_search_budget():
-    with pytest.raises(BudgetError):
-        adversarial_labelling_search(
-            make_circulant(10, 4), median_cut, mode="exhaustive"
-        )
-
-
-def test_exhaustive_no_worse_than_anneal():
-    g = complete_graph(6)
-
-    def algo(graph, lab):
-        return median_cut(graph, lab)
-
-    _, exhaustive = adversarial_labelling_search(g, algo, mode="exhaustive")
-    _, annealed = adversarial_labelling_search(
-        g, algo, mode="anneal", budget=500, seed=1
-    )
-    assert exhaustive <= annealed
-
-
-def test_anneal_deterministic():
-    g = make_double_circulant(6, 3)
-    a = adversarial_labelling_search(g, median_cut, mode="anneal",
-                                     budget=2000, seed=7)
-    b = adversarial_labelling_search(g, median_cut, mode="anneal",
-                                     budget=2000, seed=7)
-    assert a[1] == b[1] and a[0] == b[0]
-
-
-def test_search_rejects_bad_mode_and_budget():
-    g = complete_graph(4)
-    with pytest.raises(InvalidParameterError):
-        adversarial_labelling_search(g, median_cut, mode="lucky")
-    with pytest.raises(InvalidParameterError):
-        adversarial_labelling_search(g, median_cut, mode="anneal", budget=0)
