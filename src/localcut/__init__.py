@@ -78,7 +78,7 @@ from .generators import (
     orient_clockwise,
     stuck_sets,
 )
-from .graphio import graph_to_text, read_graph, write_graph
+from .graphio import read_graph, write_graph
 from .graphs import (
     Cut,
     LEFT,

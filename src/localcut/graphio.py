@@ -12,11 +12,15 @@ and n is below 2^32. Blank lines are skipped; whitespace is what
 str.split() takes it to be. Orientations round-trip as directed files;
 generator family metadata does not survive a round trip (the format
 carries structure only).
+
+Working memory stays near the text plus the result. read_graph holds the
+whole text, the temporaries of one parse chunk of about _CHUNK bytes (a few
+times its size) and the arrays it returns, each allocated once; write_graph
+holds one block of _BLOCK_ROWS formatted lines at a time.
 """
 
 from __future__ import annotations
 
-import io
 from typing import Optional, TextIO, Union
 
 import numpy as np
@@ -39,16 +43,29 @@ def write_graph(target: Union[str, TextIO], obj: GraphLike,
         raise InvalidParameterError("labelling size does not match graph")
     pairs = obj.arcs if directed else g.edges()
     target.write(f"{g.n} {g.m} {g.d} {'D' if directed else 'U'}\n")
-    target.write(("%d %d\n" * g.m) % tuple(pairs.ravel().tolist()))
+    _write_rows(target, g.m, lambda a, b: pairs[a:b].ravel().tolist())
     if lab is not None:
-        flat = tuple(x for pair in enumerate(lab.ids) for x in pair)
-        target.write("IDS\n" + ("%d %d\n" * g.n) % flat)
+        target.write("IDS\n")
+        _write_rows(target, g.n, lambda a, b: _id_rows(lab.ids, a, b))
 
 
-def graph_to_text(obj: GraphLike, lab: Optional[Labelling] = None) -> str:
-    buf = io.StringIO()
-    write_graph(buf, obj, lab)
-    return buf.getvalue()
+def _write_rows(target: TextIO, rows: int, numbers) -> None:
+    """Write `rows` lines "x y", _BLOCK_ROWS at a time; numbers(a, b) lists
+    the x, y of rows a..b-1 in order."""
+    fmt = "%d %d\n" * _BLOCK_ROWS
+    for a in range(0, rows, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, rows)
+        if b - a < _BLOCK_ROWS:
+            fmt = "%d %d\n" * (b - a)
+        target.write(fmt % tuple(numbers(a, b)))
+
+
+def _id_rows(ids: tuple, a: int, b: int) -> list[int]:
+    """v, ids[v] for v in a..b-1, flat."""
+    flat = [0] * (2 * (b - a))
+    flat[0::2] = range(a, b)
+    flat[1::2] = ids[a:b]
+    return flat
 
 
 def _pair_tokens(lines: list[str], what: str) -> list[str]:
@@ -76,6 +93,10 @@ _CLASS[list(b" \t\v\f\r\x1c\x1d\x1e\x1f")] = _SPACE
 _CLASS[list(b"0123456789")] = _DIGIT
 _CLASS[ord("\n")] = _NEWLINE
 _MAX_DIGITS = 18  # every such token fits in an int64
+# Bytes of text per parse chunk. A chunk's temporaries take about 7 bytes
+# per byte of text, so at 1 MiB they, not the output, set the parse's peak.
+_CHUNK = 1 << 18
+_BLOCK_ROWS = 1 << 15  # lines per formatted write
 
 
 def _header(line: str) -> tuple[int, int, int, bool]:
@@ -92,29 +113,37 @@ def _header(line: str) -> tuple[int, int, int, bool]:
     return n, m, d, head[3] == "D"
 
 
-def _pair_rows(chars: np.ndarray, cls: np.ndarray, rows: int) -> Optional[np.ndarray]:
+def _pair_rows(chars: np.ndarray, cls: np.ndarray) -> Optional[np.ndarray]:
     """The (rows, 2) int64 array of numbers if `chars`, which opens with a
-    newline and holds no _OTHER byte, is `rows` lines of two tokens of at
-    most 18 digits each, blank lines aside; else None."""
+    newline and holds no _OTHER byte, is lines of two tokens of at most 18
+    digits each, blank lines aside; else None."""
     digit = cls == _DIGIT
     # token bounds alternate start, end: the first byte is not a digit
-    bounds = np.flatnonzero(np.diff(digit, append=False)) + 1
-    starts = bounds[0::2]
-    if len(starts) != 2 * rows or np.any(bounds[1::2] - starts > _MAX_DIGITS):
+    bounds = np.flatnonzero(np.diff(digit, append=False))
+    bounds += 1
+    starts, lengths = bounds[0::2], bounds[1::2]
+    lengths -= starts  # the ends are not needed again
+    if len(starts) % 2 or np.any(lengths > _MAX_DIGITS):
         return None
     line = np.searchsorted(np.flatnonzero(cls == _NEWLINE), starts)
-    del bounds, starts
+    del bounds, starts, lengths
     if np.any(line[0::2] != line[1::2]) or np.any(line[2::2] == line[1:-1:2]):
         return None
-    if not rows:  # np.fromstring reads a blank string as [0]
+    if not len(line):  # np.fromstring reads a blank string as [0]
         return np.zeros((0, 2), dtype=np.int64)
     spaced = np.where(digit, chars, ord(" ")).tobytes()
-    return np.fromstring(spaced, dtype=np.int64, sep=" ").reshape(rows, 2)
+    return np.fromstring(spaced, dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
 def _parse_bytes(text: str) -> Optional[tuple]:
-    """read_graph's fields from a few numpy passes over the bytes, or None
-    for any file that is not plainly valid (the line parser then decides)."""
+    """read_graph's fields from a few numpy passes over each chunk of the
+    bytes, or None for any file that is not plainly valid (the line parser
+    then decides).
+
+    Chunks of about _CHUNK bytes start at a newline and end before one, so
+    no line spans two. The edge rows fill an (m, 2) array and the ID rows an
+    (n,) array, both allocated from the header.
+    """
     start = 0
     while True:  # the header is the first non-blank line
         end = text.find("\n", start)
@@ -126,32 +155,46 @@ def _parse_bytes(text: str) -> Optional[tuple]:
         n, m, d, directed = _header(text[start:end])
     except InvalidParameterError:
         return None
-    # the body starts at the header's newline, so each line follows a newline
-    body = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[end:]
-    cls = _CLASS[body]
-    edges_end = ids_start = len(body)
-    other = np.flatnonzero(cls == _OTHER)
-    if other.size:  # only the IDS marker line may hold anything but numbers
-        newlines = np.flatnonzero(cls == _NEWLINE)
-        k = np.searchsorted(newlines, other[0])
-        edges_end = int(newlines[k - 1])
-        ids_start = int(newlines[k]) if k < len(newlines) else len(body)
-        if other[-1] >= ids_start or text[end + edges_end:end + ids_start].strip() != "IDS":
+    pairs, ids = np.empty((m, 2), dtype=np.int64), None
+    rows, due, a = 0, m, end  # rows read and due in this section; chunk start
+    while a < len(text):
+        b = text.find("\n", a + _CHUNK)
+        b = len(text) if b < 0 else b
+        chars = np.frombuffer(text[a:b].encode("ascii"), dtype=np.uint8)
+        cls = _CLASS[chars]
+        other = np.flatnonzero(cls == _OTHER)
+        marker = ids is None and other.size > 0
+        if marker:
+            # only the IDS marker line may hold anything but numbers: the
+            # chunk's edge rows end before it, the next chunk starts after it
+            newlines = np.flatnonzero(cls == _NEWLINE)
+            k = np.searchsorted(newlines, other[0])
+            edges_end = int(newlines[k - 1])
+            b = a + (int(newlines[k]) if k < len(newlines) else len(chars))
+            if text[a + edges_end:b].strip() != "IDS":
+                return None
+            chars, cls = chars[:edges_end], cls[:edges_end]
+        elif other.size:
             return None
-    pairs = _pair_rows(body[:edges_end], cls[:edges_end], m)
-    if pairs is None:
+        got = _pair_rows(chars, cls)
+        if got is None or rows + len(got) > due:
+            return None
+        if ids is None:
+            pairs[rows:rows + len(got)] = got
+        elif len(got):
+            if got[:, 0].max() >= n:
+                return None
+            ids[got[:, 0]] = got[:, 1]
+        rows += len(got)
+        if marker:
+            if rows != m:
+                return None
+            ids, rows, due = np.full(n, -1, dtype=np.int64), 0, n
+        a = b
+    # n ID rows that leave no vertex without an ID name each vertex once
+    if rows != due or (ids is not None and ids.min() < 0):
         return None
-    ids = None
-    if other.size:
-        rows = _pair_rows(body[ids_start:], cls[ids_start:], n)
-        # n rows name each vertex once: none out of range, none missing
-        if (rows is None or rows[:, 0].max() >= n
-                or np.any(np.bincount(rows[:, 0], minlength=n) != 1)):
-            return None
-        ids = np.empty(n, dtype=np.int64)
-        ids[rows[:, 0]] = rows[:, 1]
-        ids = ids.tolist()
-    return n, d, directed, pairs, ids
+    return n, d, directed, pairs, None if ids is None else ids.tolist()
 
 
 def _parse_lines(text: str) -> tuple:
@@ -201,7 +244,9 @@ def read_graph(source: Union[str, TextIO]) -> tuple[GraphLike, Optional[Labellin
     if text is None or not text.isascii():
         raise InvalidParameterError("graph file is not ASCII text")
     n, d, directed, pairs, ids = _parse_bytes(text) or _parse_lines(text)
+    del text
     lab = None if ids is None else Labelling(ids)
+    del ids
     graph = RegularGraph.from_edges(n, pairs, d=d)
     if directed:
         return Orientation(graph, pairs), lab

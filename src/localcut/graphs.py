@@ -60,11 +60,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _int_pairs(pairs, what: str) -> np.ndarray:
-    """A fresh (k, 2) int64 array from an array or an iterable of pairs."""
+def _int_pairs(pairs, what: str, copy: bool = True) -> np.ndarray:
+    """A (k, 2) int64 array from an array or an iterable of pairs: a fresh
+    one, or with copy=False an int64 array itself."""
     try:
-        a = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs),
-                     dtype=np.int64)
+        a = (np.array if copy else np.asarray)(
+            pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
     except (TypeError, ValueError, OverflowError):
         a = None
     if a is None or (a.size and (a.ndim != 2 or a.shape[1] != 2)):
@@ -79,15 +80,39 @@ def _adjacency_defect(adj: Optional[np.ndarray], d: Optional[int]) -> Optional[s
     n, d = adj.shape
     if adj.size and (adj.min() < 0 or adj.max() >= n):
         return "a neighbor is out of range"
-    if np.any(adj == np.arange(n)[:, None]):
+    rows = np.arange(n, dtype=np.int64)[:, None]
+    if np.any(adj == rows):
         return "a vertex is its own neighbor"
     if np.any(adj[:, 1:] == adj[:, :-1]):
         return "a vertex lists a neighbor twice"
-    # keys u*n+v ascend in row-major order; symmetric iff the v*n+u agree
-    rows = np.repeat(np.arange(n, dtype=np.int64), d)
-    if not np.array_equal(rows * n + adj.ravel(), np.sort(adj.ravel() * n + rows)):
+    # keys u*n+v ascend in row-major order; symmetric iff the v*n+u, sorted,
+    # equal them, that is, less adj they leave u*n throughout row u
+    back = adj * n
+    back += rows
+    back.ravel().sort()
+    back -= adj
+    if not np.all(back == rows * n):
         return "the adjacency is not symmetric"
     return None
+
+
+def _covers_once(arcs: np.ndarray, n: int, edges: np.ndarray) -> bool:
+    """True iff the (k, 2) int64 arcs orient every row of `edges` (u < v,
+    ascending) exactly once."""
+    if len(arcs) != len(edges):
+        return False
+    if not arcs.size:
+        return True
+    keys, hi = arcs.min(axis=1), arcs.max(axis=1)
+    if keys.min() < 0 or hi.max() >= n:
+        return False
+    # each arc's edge as the key u*n+v, u < v: sorted, the keys of edges()
+    keys *= n
+    keys += hi
+    keys.sort()
+    np.multiply(edges[:, 0], n, out=hi)
+    hi += edges[:, 1]
+    return np.array_equal(keys, hi)
 
 
 def validate_regular(adjacency, d: int) -> bool:
@@ -115,11 +140,17 @@ class RegularGraph:
     def __init__(self, adjacency, d: Optional[int] = None,
                  family: Optional[str] = None, family_params: Optional[tuple] = None):
         try:
-            adj = np.sort(np.array(adjacency, dtype=np.int64), axis=-1)
+            adj = np.array(adjacency, dtype=np.int64)
+            adj.sort(axis=-1)
         except (TypeError, ValueError, OverflowError):
             adj = None
         if adj is not None and adj.shape == (0,):  # no vertices at all
             adj = adj.reshape(0, d or 0)
+        self._take(adj, d, family, family_params)
+
+    def _take(self, adj: Optional[np.ndarray], d: Optional[int],
+              family: Optional[str], family_params: Optional[tuple]) -> None:
+        """Check an int64 adjacency with sorted rows and keep it, not a copy."""
         defect = _adjacency_defect(adj, d)
         if defect:
             raise InvalidParameterError(f"adjacency is not a simple d-regular graph: {defect}")
@@ -128,8 +159,12 @@ class RegularGraph:
         self.m = self.n * self.d // 2
         self.family = family
         self.family_params = family_params
-        upper = adj > np.arange(self.n)[:, None]
-        self._edges = _read_only(np.column_stack([np.nonzero(upper)[0], adj[upper]]))
+        # the entries above the diagonal, in row-major order, are the edges
+        upper = np.flatnonzero(adj > np.arange(self.n)[:, None])
+        edges = np.empty((self.m, 2), dtype=np.int64)
+        np.floor_divide(upper, self.d, out=edges[:, 0])
+        edges[:, 1] = adj.ravel()[upper]
+        self._edges = _read_only(edges)
 
     @classmethod
     def from_edges(cls, n: int, edges, d: Optional[int] = None,
@@ -140,7 +175,7 @@ class RegularGraph:
         pre: 1 <= n < 2^32, checked before any array is built.
         """
         _require_vertex_count(n)
-        e = _int_pairs(edges, "edges")
+        e = _int_pairs(edges, "edges", copy=False)
         if e.size and (e.min() < 0 or e.max() >= n):
             raise InvalidParameterError(f"an edge endpoint is out of range 0..{n - 1}")
         degree = np.bincount(e.ravel(), minlength=n)
@@ -152,9 +187,17 @@ class RegularGraph:
             )
         # both directions of every edge as keys u*n+v: sorted, they are the
         # rows of the adjacency in order, d per vertex
-        keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
-        return cls((keys % n).reshape(n, d), d=d, family=family,
-                   family_params=family_params)
+        m = len(e)
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(e[:, 0], n, out=keys[:m])
+        keys[:m] += e[:, 1]
+        np.multiply(e[:, 1], n, out=keys[m:])
+        keys[m:] += e[:, 0]
+        keys.sort()
+        keys %= n
+        g = cls.__new__(cls)
+        g._take(keys.reshape(n, d), d, family, family_params)
+        return g
 
     def edges(self) -> np.ndarray:
         """All edges as a read-only (m, 2) array of rows (u, v), u < v, ascending."""
@@ -182,10 +225,8 @@ class Orientation:
     """
 
     def __init__(self, graph: RegularGraph, arcs):
-        arcs, n, edges = _int_pairs(arcs, "arcs"), graph.n, graph.edges()
-        lo, hi = arcs.min(axis=1), arcs.max(axis=1)
-        if (len(arcs) != len(edges) or (arcs.size and (lo.min() < 0 or hi.max() >= n))
-                or not np.array_equal(np.sort(lo * n + hi), edges[:, 0] * n + edges[:, 1])):
+        arcs, n = _int_pairs(arcs, "arcs"), graph.n
+        if not _covers_once(arcs, n, graph.edges()):
             raise InvalidParameterError(
                 "arcs must orient every edge of the graph exactly once"
             )

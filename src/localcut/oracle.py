@@ -47,9 +47,10 @@ from .graphs import (
 _BLOCK_CELLS = 1 << 17
 
 
-def _mask_to_cut(mask: int, n: int) -> Cut:
-    # bit v set <=> v on the LEFT
-    return Cut([LEFT if (mask >> v) & 1 else RIGHT for v in range(n)])
+def _mask_cuts(masks: np.ndarray, n: int) -> list[Cut]:
+    """The cut of each mask, in order: bit v set <=> v on the LEFT."""
+    bits = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    return [Cut(row) for row in np.array([RIGHT, LEFT], dtype=np.int8)[bits]]
 
 
 def _subset_sums(rows: np.ndarray) -> np.ndarray:
@@ -120,7 +121,7 @@ def _best_dicut(n: int, arcs, masks: int) -> tuple[int, Cut]:
         i = int(np.argmax(scores))
         if scores.flat[i] > best:
             best, best_mask = int(scores.flat[i]), first + i
-    return best, _mask_to_cut(best_mask, n)
+    return best, _mask_cuts([best_mask], n)[0]
 
 
 def max_cut_exact(g: RegularGraph, budget: int = 30) -> tuple[int, Cut]:
@@ -167,5 +168,5 @@ def enumerate_max_dicuts(o: Orientation, budget: int = 16) -> tuple[int, list[Cu
         if top > best:
             best, ties = top, []
         if top == best:
-            ties.extend((first + np.flatnonzero(scores == best)).tolist())
-    return best, [_mask_to_cut(m, n) for m in ties]
+            ties.append(first + np.flatnonzero(scores == best))
+    return best, _mask_cuts(np.concatenate(ties), n)

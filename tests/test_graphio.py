@@ -1,6 +1,8 @@
 """Text format round trips and malformed-input rejection."""
 
 import io
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,17 +12,26 @@ from localcut import (
     Labelling,
     Orientation,
     RegularGraph,
-    graph_to_text,
     identity_labelling,
     make_double_circulant,
+    make_id_orientation,
     make_random_orientation,
+    make_random_regular,
     orient_clockwise,
     random_labelling,
     read_graph,
     write_graph,
 )
+from localcut import graphio
 
 from conftest import mutated_graph_files, oriented_graphs, small_regular_graphs, text_source
+
+
+def graph_to_text(obj, lab=None) -> str:
+    """What write_graph writes for a graph or orientation, as a string."""
+    buf = io.StringIO()
+    write_graph(buf, obj, lab)
+    return buf.getvalue()
 
 
 @given(small_regular_graphs())
@@ -79,6 +90,51 @@ def test_directed_header_and_arc_order():
 def test_output_is_deterministic():
     g = make_double_circulant(10, 3)
     assert graph_to_text(g) == graph_to_text(g)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_output_does_not_depend_on_the_block_size(block_rows):
+    g = make_double_circulant(12, 5)  # 60 edges, 24 ID lines: 7 splits both
+    for obj, lab in ((g, None), (make_random_orientation(g, seed=2), random_labelling(g.n, seed=3))):
+        text = graph_to_text(obj, lab)
+        with mock.patch.object(graphio, "_BLOCK_ROWS", block_rows):
+            assert graph_to_text(obj, lab) == text
+
+
+class NullSink:
+    def write(self, text):
+        pass
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw allocated while it ran;
+    numpy reports its buffers to tracemalloc, so the count repeats exactly."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def labelled_id_orientation(n, d):
+    g = make_random_regular(n, d, seed=1)
+    lab = random_labelling(n, seed=2)
+    return make_id_orientation(g, lab), lab
+
+
+def test_file_round_trip_memory_is_bounded():
+    # read_graph holds the text, one parse chunk and its output arrays at a
+    # time; write_graph holds one block of formatted lines at a time.
+    o, lab = labelled_id_orientation(20000, 5)
+    text = graph_to_text(o, lab)
+    assert len(text) > 2 * graphio._CHUNK  # the parse takes several chunks
+    (back, _), peak = traced_peak(read_graph, io.StringIO(text))
+    arrays = sum(a.nbytes for a in (back.graph.adj, back.graph.edges(), back.arcs,
+                                    back.out_degrees))
+    assert peak < 2 * (len(text) + arrays)
+    _, small = traced_peak(write_graph, NullSink(), o, lab)
+    _, large = traced_peak(write_graph, NullSink(), *labelled_id_orientation(40000, 5))
+    assert large < 1.1 * small
 
 
 def test_labelling_size_mismatch():

@@ -64,7 +64,7 @@ from localcut import (
     window_edge_count,
     window_edge_counts,
 )
-from localcut import bounds, verify
+from localcut import bounds, graphio, verify
 from localcut.congest import RoundTrace, decode_id, encode_id
 from localcut.graphs import same_side_counts
 from localcut.verify import _even_n, _report, double_circulant_halves, verify_claim2
@@ -1097,11 +1097,23 @@ def parse_outcome(parser, text, universal_newlines):
     return type(obj), g.adj.tolist(), arcs, None if lab is None else lab.ids
 
 
+# Parse chunk sizes: the default; one line per chunk, so that chunks start
+# on blank lines, on the IDS marker and inside the IDS section; and a few
+# short lines per chunk, so that the marker also falls inside a chunk.
+PARSE_CHUNKS = [graphio._CHUNK, 1, 8]
+
+
+def assert_parsers_agree(text, universal_newlines):
+    want = parse_outcome(ref_read_graph, text, universal_newlines)
+    for chunk in PARSE_CHUNKS:
+        with mock.patch.object(graphio, "_CHUNK", chunk):
+            assert parse_outcome(read_graph, text, universal_newlines) == want, chunk
+
+
 @given(mutated_graph_files(), st.booleans())
 @settings(max_examples=300)
 def test_byte_parser_matches_line_parser(text, universal_newlines):
-    assert (parse_outcome(read_graph, text, universal_newlines)
-            == parse_outcome(ref_read_graph, text, universal_newlines))
+    assert_parsers_agree(text, universal_newlines)
 
 
 @pytest.mark.parametrize("text", [
@@ -1120,14 +1132,15 @@ def test_byte_parser_matches_line_parser(text, universal_newlines):
     "4 4 2 U\n0 1\n1\x002\n2 3\n3 0\n",
     "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDSX\n0 1\n1 2\n2 3\n3 4\n",
     "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS 4\n0 1\n1 2\n2 3\n3 4\n",
+    "4 4 2 U\n0 1\n1 2\n2 3\nIDS\n0 1\n1 2\n2 3\n3 4\n",
+    "4 4 2 U\n0 1\n1 2\n2 3\n3 0\n0 2\nIDS\n0 1\n1 2\n2 3\n3 4\n",
     "1 0 0 U\n",
     "1 0 0 U\nIDS\n0 1\n",
     "1 0 0 U",
 ])
 def test_byte_parser_matches_line_parser_on_edge_cases(text):
     for universal_newlines in (False, True):
-        assert (parse_outcome(read_graph, text, universal_newlines)
-                == parse_outcome(ref_read_graph, text, universal_newlines))
+        assert_parsers_agree(text, universal_newlines)
 
 
 # --- validation -------------------------------------------------------------------
