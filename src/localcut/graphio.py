@@ -15,8 +15,10 @@ carries structure only).
 
 Working memory stays near the text plus the result. read_graph holds the
 whole text, the temporaries of one parse chunk of about _CHUNK bytes (a few
-times its size) and the arrays it returns, each allocated once; write_graph
-holds one block of _BLOCK_ROWS formatted lines at a time.
+times its size; a chunk ends at a line end, so this holds for lines shorter
+than _CHUNK) and the arrays it returns, each allocated once and no larger
+than the text can fill; write_graph holds one block of _BLOCK_ROWS
+formatted lines at a time.
 """
 
 from __future__ import annotations
@@ -155,6 +157,10 @@ def _parse_bytes(text: str) -> Optional[tuple]:
         n, m, d, directed = _header(text[start:end])
     except InvalidParameterError:
         return None
+    # each row takes at least 4 bytes ("u v" and its newline), so a header
+    # that claims more rows than the text can hold allocates nothing
+    if 4 * m > len(text) - end:
+        return None
     pairs, ids = np.empty((m, 2), dtype=np.int64), None
     rows, due, a = 0, m, end  # rows read and due in this section; chunk start
     while a < len(text):
@@ -187,7 +193,7 @@ def _parse_bytes(text: str) -> Optional[tuple]:
             ids[got[:, 0]] = got[:, 1]
         rows += len(got)
         if marker:
-            if rows != m:
+            if rows != m or 4 * n > len(text) - b:
                 return None
             ids, rows, due = np.full(n, -1, dtype=np.int64), 0, n
         a = b

@@ -156,10 +156,27 @@ def test_labelling_size_mismatch():
     "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 1\n0 2\n2 3\n3 4\n",  # repeated vertex
     "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 1\n1 2\n2 3\n9 4\n",  # vertex out of range
     "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 1\n1 1\n2 3\n3 4\n",  # duplicate ID value
+    "4294967295 0 0 U\nIDS\n",              # 2^32 - 1 ID lines claimed, none given
+    "2147483647 2147483647 2 U\n",           # 2^31 - 1 edge lines claimed, none given
 ])
 def test_malformed_input_rejected(text):
     with pytest.raises(InvalidParameterError):
         read_graph(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text", ["1000000 0 0 U\nIDS\n", "1000000 1000000 2 U\n0 1\n"])
+def test_header_counts_do_not_size_arrays_beyond_the_text(text):
+    # the parse sizes its edge and ID arrays from the header only once the
+    # text could hold that many rows: a short file claiming 10^6 rows must
+    # not allocate 8-16 MB before it is rejected
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError):
+            read_graph(io.StringIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_non_integer_id_line_rejected():
