@@ -32,7 +32,9 @@ def median_cut(g: RegularGraph, lab: Labelling) -> Cut:
     if lab.n != g.n:
         raise InvalidParameterError("labelling size does not match graph")
     ids = lab.id_array()
-    median = np.sort(ids[g.adj], axis=1)[:, g.d // 2]
+    nbr = ids[g.adj]
+    nbr.sort(axis=1)  # in place: no second n*d copy
+    median = nbr[:, g.d // 2]
     return Cut(np.where(median > ids, LEFT, RIGHT))
 
 

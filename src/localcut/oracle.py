@@ -12,14 +12,18 @@ vertex j and the low subset l. So the cross term is an additive subset sum,
 and every table is built by doubling, one numpy add per bit:
 T[2^j : 2^(j+1)] = T[:2^j] + row_j.
 
-A block of H rows is one int16 array of about _BLOCK_CELLS cells, small
-enough to stay in cache: the subset-sum table of C over the block's low
-high-bits (built once per call), plus a column lo + the C rows of the block
-index's other bits (one add per block, from a prefix stack), plus hi. No
-matrix product and no BLAS is involved. The arithmetic is exact because it
-is integer: with A arcs, every table entry and every partial sum lies in
-[-A, A], so int16 holds it for A <= 32767, and more arcs raise
-InvariantError (within the budgets A <= 870).
+A block of H rows is one array of about _BLOCK_BYTES bytes, small enough
+to stay in cache: the subset-sum table of C over the block's low high-bits
+(built once per call), plus a column lo + the C rows of the block index's
+other bits (one add per block, from a prefix stack). hi is constant along a
+row, so it is added per row, not per cell: a scan takes each row's maximum,
+adds that row's hi, and looks inside a row only when it holds the best
+score. No matrix product and no BLAS is involved. The arithmetic is exact
+because it is integer: with A arcs, every table entry and every partial sum
+lies in [-A, A], so the tables are int8 for A <= 127 (every MaxDiCut
+within its budget at d <= 7; MaxCut has two arcs per edge, so n*d <= 127),
+int16 for A <= 32767, and more arcs raise InvariantError (within the
+budgets A <= 870).
 
 MaxCut is the MaxDiCut of both arcs of every edge. The budgets (n <= 24
 for MaxDiCut, n <= 30 for MaxCut, which also has a bipartite shortcut,
@@ -43,8 +47,8 @@ from .graphs import (
     is_bipartite,
 )
 
-# Cells per score block: 2^17 int16 values, 256 KiB.
-_BLOCK_CELLS = 1 << 17
+# Bytes per score block: 256 KiB, 2^18 int8 or 2^17 int16 cells.
+_BLOCK_BYTES = 1 << 18
 
 
 def _mask_cuts(masks: np.ndarray, n: int) -> list[Cut]:
@@ -55,7 +59,7 @@ def _mask_cuts(masks: np.ndarray, n: int) -> list[Cut]:
 
 def _subset_sums(rows: np.ndarray) -> np.ndarray:
     """t[m] = the sum of rows[j] over the bits j of m, for m < 2^len(rows)."""
-    t = np.zeros((1 << len(rows),) + rows.shape[1:], dtype=np.int16)
+    t = np.zeros((1 << len(rows),) + rows.shape[1:], dtype=rows.dtype)
     for j, row in enumerate(rows):
         np.add(t[:1 << j], row, out=t[1 << j:2 << j])
     return t
@@ -68,32 +72,35 @@ def _score_table(gain: np.ndarray) -> np.ndarray:
     is the arcs leaving the vertices of m minus the arcs among them:
     doubling adds vertex j to the subsets of the vertices below it.
     """
-    t = np.zeros(1 << gain.shape[1], dtype=np.int16)
+    t = np.zeros(1 << gain.shape[1], dtype=gain.dtype)
     for j in range(gain.shape[1]):
         np.add(t[:1 << j], gain[:1 << j, j], out=t[1 << j:2 << j])
     return t
 
 
-def _dicut_blocks(n: int, arcs, masks: int) -> Iterator[tuple[int, np.ndarray]]:
+def _dicut_blocks(n: int, arcs, masks: int
+                  ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Dicut sizes of masks 0..masks-1 in ascending blocks.
 
-    Yields (first, scores) where scores[i, j] is the size of mask
-    first + i * 2^k + j, so a row-major scan of the blocks visits the masks
-    in ascending order. `scores` is one buffer, overwritten by the next
-    block. `masks` is 2^n, or 2^(n-1) to pin vertex n-1 RIGHT.
+    Yields (first, part, hi_rows) where part[i, j] + hi_rows[i] is the size
+    of mask first + i * 2^k + j, so a row-major scan of the blocks visits
+    the masks in ascending order. `part` is one buffer, overwritten by the
+    next block. `masks` is 2^n, or 2^(n-1) to pin vertex n-1 RIGHT.
     """
     if len(arcs) > np.iinfo(np.int16).max:
         raise InvariantError(
             f"{len(arcs)} arcs overflow the int16 scores (at most 32767)"
         )
+    dtype = np.int8 if len(arcs) <= np.iinfo(np.int8).max else np.int16
     k = n // 2
-    q = np.zeros((n, n), dtype=np.int16)
+    q = np.zeros((n, n), dtype=dtype)
     np.add.at(q, (arcs[:, 0], arcs[:, 1]), 1)
     np.fill_diagonal(q, 0)  # a loop is never cut
-    out = q.sum(axis=1, dtype=np.int16)
+    out = q.sum(axis=1, dtype=dtype)
     rows = masks >> k
     hb = rows.bit_length() - 1  # high vertices the masks reach
-    b = min(hb, max(0, (_BLOCK_CELLS >> k).bit_length() - 1))  # per block
+    cells = _BLOCK_BYTES // q.itemsize >> k
+    b = min(hb, max(0, cells.bit_length() - 1))  # per block
     between = q + q.T
     # low[l, v] = minus the arcs between vertex v and the low subset l
     low = _subset_sums(-between[:k, :k + hb])
@@ -101,7 +108,7 @@ def _dicut_blocks(n: int, arcs, masks: int) -> Iterator[tuple[int, np.ndarray]]:
     hi = _score_table(_subset_sums(-between[k:k + hb, k:k + hb]) + out[k:k + hb])
     c = np.ascontiguousarray(low[:, k:].T)  # c[j, l]: high vertex j vs l
     local = _subset_sums(c[:b])
-    scores = np.empty_like(local)
+    part = np.empty_like(local)
     # cols[i] = lo + the c rows of the block index's bits >= i
     cols = [lo] * (hb - b + 1)
     for block in range(rows >> b):
@@ -109,18 +116,19 @@ def _dicut_blocks(n: int, arcs, masks: int) -> Iterator[tuple[int, np.ndarray]]:
             p = (block & -block).bit_length() - 1
             cols[p] = cols[p + 1] + c[b + p]
             cols[:p] = [cols[p]] * p
-        np.add(local, cols[0], out=scores)
-        scores += hi[block << b:(block + 1) << b, None]
-        yield block << (b + k), scores
+        np.add(local, cols[0], out=part)
+        yield block << (b + k), part, hi[block << b:(block + 1) << b]
 
 
 def _best_dicut(n: int, arcs, masks: int) -> tuple[int, Cut]:
     """Largest score with its lowest mask; a later block wins only if strictly larger."""
     best, best_mask = -1, 0
-    for first, scores in _dicut_blocks(n, arcs, masks):
-        i = int(np.argmax(scores))
-        if scores.flat[i] > best:
-            best, best_mask = int(scores.flat[i]), first + i
+    for first, part, hi_rows in _dicut_blocks(n, arcs, masks):
+        top = part.max(axis=1) + hi_rows
+        r = int(np.argmax(top))
+        if top[r] > best:
+            best = int(top[r])
+            best_mask = first + r * part.shape[1] + int(np.argmax(part[r]))
     return best, _mask_cuts([best_mask], n)[0]
 
 
@@ -163,10 +171,13 @@ def enumerate_max_dicuts(o: Orientation, budget: int = 16) -> tuple[int, list[Cu
             f"witness enumeration wants n <= {budget}, got {n}"
         )
     best, ties = -1, []
-    for first, scores in _dicut_blocks(n, o.arcs, 1 << n):
-        top = int(scores.max())
-        if top > best:
-            best, ties = top, []
-        if top == best:
-            ties.append(first + np.flatnonzero(scores == best))
+    for first, part, hi_rows in _dicut_blocks(n, o.arcs, 1 << n):
+        top = part.max(axis=1) + hi_rows
+        t = int(top.max())
+        if t > best:
+            best, ties = t, []
+        if t == best:
+            r = np.flatnonzero(top == best)
+            i, j = np.nonzero(part[r] == (best - hi_rows[r])[:, None])
+            ties.append(first + r[i] * part.shape[1] + j)
     return best, _mask_cuts(np.concatenate(ties), n)

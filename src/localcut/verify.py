@@ -58,7 +58,6 @@ from .graphs import (
     identity_labelling,
     is_bipartite,
     random_labelling,
-    validate_regular,
 )
 from .oracle import max_cut_exact, max_dicut_exact
 
@@ -350,9 +349,28 @@ def verify_flip_monotonicity(seed: int = 0, cases: int = 1000,
     return _report("flip-monotonicity", cases, violations, started)
 
 
+def _circulant_rows(n: int, d: int) -> np.ndarray:
+    """The adjacency of C_n^d in closed form: row i is i +- k (mod n) for
+    every odd k < d, sorted."""
+    i, jumps = np.arange(n)[:, None], np.arange(1, d, 2)
+    rows = np.hstack([(i + jumps) % n, (i - jumps) % n])
+    rows.sort(axis=1)
+    return rows
+
+
+def _double_circulant_rows(n: int, d: int) -> np.ndarray:
+    """The adjacency of D^d on 2n vertices in closed form: two copies of
+    C_n^(d-1), outer i and inner n+i, plus the matching i <-> n+i."""
+    c, i = _circulant_rows(n, d - 1), np.arange(n)[:, None]
+    rows = np.vstack([np.hstack([c, n + i]), np.hstack([n + c, i])])
+    rows.sort(axis=1)
+    return rows
+
+
 def verify_constructions(seed: int = 0, max_n: int = 40) -> dict:
-    """Regularity and bipartiteness across the circulant families, plus
-    the frozen oracle values for C_12^4 and the clockwise D_12^3.
+    """Closed-form adjacency and bipartiteness across the circulant
+    families, plus the frozen oracle values for C_12^4 and the clockwise
+    D_12^3.
 
     `seed` keeps the signature uniform across suites; the corpus is fixed.
     """
@@ -363,16 +381,17 @@ def verify_constructions(seed: int = 0, max_n: int = 40) -> dict:
         for n in range(2 * d, max_n + 1, 2):
             g = make_circulant(n, d)
             cases += 1
-            if not validate_regular(g.adj, d):
-                violations.append(f"C_{n}^{d} not {d}-regular")
+            if not np.array_equal(g.adj, _circulant_rows(n, d)):
+                violations.append(f"C_{n}^{d} is not i ~ i +- k (mod {n}) for odd k < {d}")
             if not is_bipartite(g)[0]:
                 violations.append(f"C_{n}^{d} not bipartite")
     for d in (3, 5, 7):
         for n in range(2 * (d - 1), max_n + 1, 2):
             g = make_double_circulant(n, d)
             cases += 1
-            if not validate_regular(g.adj, d):
-                violations.append(f"D_{2 * n}^{d} not {d}-regular")
+            if not np.array_equal(g.adj, _double_circulant_rows(n, d)):
+                violations.append(
+                    f"D_{2 * n}^{d} is not two C_{n}^{d - 1} joined by i ~ {n}+i")
             if not is_bipartite(g)[0]:
                 violations.append(f"D_{2 * n}^{d} not bipartite")
 

@@ -24,18 +24,20 @@ from localcut import (
     make_double_circulant,
     make_id_orientation,
     make_random_orientation,
+    make_random_regular,
     median_cut,
     monochromatic_components,
     orient_clockwise,
     oriented_median_cut,
     oriented_median_plus_flips,
     random_cut,
+    random_labelling,
     sequential_flip_to_maximal,
     stable_vertices,
     unstable_flip_step,
 )
 
-from conftest import labelling_for, oriented_graphs, small_regular_graphs
+from conftest import labelling_for, oriented_graphs, peak_bytes, small_regular_graphs
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -65,6 +67,18 @@ def test_median_equals_deficit_rule_under_id_orientation(g, seed):
     lab = labelling_for(g.n, seed)
     o = make_id_orientation(g, lab)
     assert median_cut(g, lab) == oriented_median_cut(o)
+
+
+def test_median_memory_is_one_gather():
+    # The gathered neighbour IDs (n*d int64) are sorted in place: the peak is
+    # that one array plus n-sized ones, where a sorted copy would double it.
+    n, d = 10 ** 5, 5
+    g, lab = make_random_regular(n, d, seed=1), random_labelling(n, seed=2)
+    out = []
+    assert peak_bytes(lambda: out.append(median_cut(g, lab))) < 1.6 * n * d * 8
+    ids = lab.id_array()
+    median = np.sort(ids[g.adj], axis=1)[:, d // 2]
+    assert np.array_equal(out[0].sides, np.where(median > ids, LEFT, RIGHT))
 
 
 @given(small_regular_graphs(degrees=(3, 5, 7)), seeds)

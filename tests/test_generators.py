@@ -39,7 +39,8 @@ from localcut import (
     validate_regular,
 )
 import localcut
-from localcut import graphs as graphs_mod
+from localcut import generators as generators_mod, graphs as graphs_mod
+from localcut.verify import verify_constructions
 from localcut.generators import _pairing_round, _realize_bipartite
 
 from conftest import peak_bytes
@@ -94,6 +95,28 @@ def test_double_circulant_regular_bipartite(half, d):
     assert g.n == 2 * half
     assert validate_regular(g.adj, d)
     assert is_bipartite(g)[0]
+
+
+@pytest.mark.parametrize("name,at,arcs,expected", [
+    # C_12^4 with jumps 1 and 5 in place of 1 and 3
+    ("_circulant_arcs", (12, 4), [(i, (i + k) % 12) for k in (1, 5) for i in range(12)],
+     "C_12^4 is not i ~ i +- k (mod 12) for odd k < 4"),
+    # D^3 on 16 vertices with the matching i <-> 8 + (i+2) mod 8
+    ("_double_circulant_arcs", (8, 3),
+     [(i, (i + 1) % 8) for i in range(8)] + [(8 + i, 8 + (i + 1) % 8) for i in range(8)]
+     + [(i, 8 + (i + 2) % 8) for i in range(8)],
+     "D_16^3 is not two C_8^2 joined by i ~ 8+i"),
+], ids=["circulant", "double-circulant"])
+def test_constructions_suite_checks_the_jumps(name, at, arcs, expected):
+    # Still simple, regular and bipartite, so only the closed-form rows fail.
+    real = getattr(generators_mod, name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators_mod, name, lambda n, d: arcs if (n, d) == at else real(n, d))
+        g = (make_circulant if name == "_circulant_arcs" else make_double_circulant)(*at)
+        assert validate_regular(g.adj, at[1]) and is_bipartite(g)[0]
+        report = verify_constructions()
+    assert (report["pass"], report["first_violations"]) == (False, [expected])
+    assert verify_constructions()["pass"]
 
 
 def test_orient_clockwise_circulant():

@@ -77,6 +77,20 @@ def mask_cut(mask, n) -> Cut:
     return Cut([LEFT if (int(mask) >> v) & 1 else RIGHT for v in range(n)])
 
 
+def mask_sides(masks, n) -> np.ndarray:
+    """The sides of each mask's cut as one (len(masks), n) array."""
+    bits = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    return np.where(bits == 1, LEFT, RIGHT)
+
+
+def assert_ties(result, best, masks, n):
+    """`result` is (best, the cuts of `masks` in order), compared as one array."""
+    size, cuts = result
+    assert size == best and len(cuts) == len(masks)
+    assert all(isinstance(c, Cut) for c in cuts)
+    assert np.array_equal(np.array([c.sides for c in cuts]), mask_sides(masks, n))
+
+
 @st.composite
 def orientations_up_to_16(draw):
     """Random orientations with 1 <= n <= 16, odd n (even d) included."""
@@ -87,19 +101,21 @@ def orientations_up_to_16(draw):
 
 
 def kernel_scores(n, arcs, masks) -> np.ndarray:
-    """Every score the kernel yields, in mask order; each block is copied,
+    """Every score the kernel yields, in mask order: each block's partial
+    scores plus the hi term of their row, added in int64 into a new array,
     since the kernel overwrites one buffer."""
     blocks, size = [], 0
-    for first, scores in oracle._dicut_blocks(n, arcs, masks):
+    for first, part, hi_rows in oracle._dicut_blocks(n, arcs, masks):
         assert first == size
-        blocks.append(scores.ravel().copy())
-        size += scores.size
+        blocks.append((part + hi_rows[:, None].astype(np.int64)).ravel())
+        size += part.size
     assert size == masks
     return np.concatenate(blocks)
 
 
-# Block sizes for n <= 16: 1 << 20 holds every instance in one block, as the
-# default 2^17 does; 8 splits it into many one- or few-row blocks, so the
+# Block sizes in bytes, which are cells in the int8 tables of every instance
+# here (at most 127 arcs): 1 << 20 holds every n <= 16 instance in one block,
+# as the default 2^18 does; 8 splits it into many one- or few-row blocks, so the
 # strict-greater rule across blocks decides the witness; "two-rows" puts one
 # bit of the high half in each block, so the in-block table and the
 # per-block column both carry part of every mask.
@@ -115,13 +131,13 @@ def block_cells_for(block_cells, n):
 @settings(max_examples=60)
 def test_kernel_matches_per_arc_reference(block_cells, o):
     n = o.graph.n
+    assert 2 * o.graph.m <= 127  # int8 tables: a block's bytes are its cells
     acc = per_arc_dicut_sizes(o)
     best = int(acc.max())
-    with mock.patch.object(oracle, "_BLOCK_CELLS", block_cells_for(block_cells, n)):
+    with mock.patch.object(oracle, "_BLOCK_BYTES", block_cells_for(block_cells, n)):
         assert np.array_equal(kernel_scores(n, o.arcs, 1 << n), acc)
         assert max_dicut_exact(o) == (best, mask_cut(np.argmax(acc), n))
-        assert enumerate_max_dicuts(o) == (
-            best, [mask_cut(m, n) for m in np.flatnonzero(acc == best)])
+        assert_ties(enumerate_max_dicuts(o), best, np.flatnonzero(acc == best), n)
         if not is_bipartite(o.graph)[0]:
             e = o.graph.edges()
             acc = per_edge_cut_sizes(o.graph)
@@ -135,7 +151,7 @@ def test_kernel_matches_per_arc_reference_across_default_blocks():
     # n=20 spans several blocks at the default block size.
     o = make_random_orientation(make_random_regular(20, 3, seed=4), seed=5)
     acc = per_arc_dicut_sizes(o)
-    assert oracle._BLOCK_CELLS < acc.size
+    assert oracle._BLOCK_BYTES < acc.size
     assert np.array_equal(kernel_scores(20, o.arcs, 1 << 20), acc)
     assert max_dicut_exact(o) == (int(acc.max()), mask_cut(np.argmax(acc), 20))
 
@@ -147,28 +163,45 @@ def test_kernel_matches_per_arc_reference_on_multigraphs(n, data):
     arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                               max_size=40))
     arcs = np.array(arcs, dtype=np.int64).reshape(-1, 2)
-    with mock.patch.object(oracle, "_BLOCK_CELLS", data.draw(st.sampled_from([8, ONE_BLOCK]))):
+    with mock.patch.object(oracle, "_BLOCK_BYTES", data.draw(st.sampled_from([8, ONE_BLOCK]))):
         assert np.array_equal(kernel_scores(n, arcs, 1 << n), per_arc_sizes(n, arcs))
 
 
 @pytest.mark.parametrize("arc", [(0, 1), (1, 0), (0, 0)])
 def test_kernel_int16_guard(arc):
     # Scores and partial sums stay in [-A, A] for A arcs: the largest A the
-    # int16 tables hold is exact, and one more arc is refused.
-    arcs = np.array([arc] * 32767)
-    expected = np.zeros(4, dtype=np.int64)
-    if arc[0] != arc[1]:
-        expected[1 << arc[0]] = 32767
-    assert np.array_equal(kernel_scores(2, arcs, 4), expected)
+    # int8 tables hold (127) and the int16 tables hold (32767) are exact,
+    # one more arc than 127 moves to int16, and one more than 32767 is refused.
+    for count, dtype in [(127, np.int8), (128, np.int16), (32767, np.int16)]:
+        arcs = np.array([arc] * count)
+        expected = np.zeros(4, dtype=np.int64)
+        if arc[0] != arc[1]:
+            expected[1 << arc[0]] = count
+        assert np.array_equal(kernel_scores(2, arcs, 4), expected)
+        assert next(oracle._dicut_blocks(2, arcs, 4))[1].dtype == dtype
     with pytest.raises(InvariantError):
         next(oracle._dicut_blocks(2, np.array([arc] * 32768), 4))
+
+
+def test_kernel_int16_tables_match_per_edge_reference():
+    # MaxCut of a non-bipartite 7-regular graph on 20 vertices has 140 arcs,
+    # past the int8 tables, and spans several default blocks.
+    g = make_random_regular(20, 7, seed=1)
+    assert not is_bipartite(g)[0]
+    e = g.edges()
+    arcs = np.vstack([e, e[:, ::-1]])
+    assert len(arcs) == 140
+    assert next(oracle._dicut_blocks(20, arcs, 1 << 19))[1].dtype == np.int16
+    acc = per_edge_cut_sizes(g)
+    assert np.array_equal(kernel_scores(20, arcs, 1 << 19), acc)
+    assert max_cut_exact(g) == (int(acc.max()), mask_cut(np.argmax(acc), 20))
 
 
 @pytest.mark.parametrize("block_cells", [ONE_BLOCK, 8])
 def test_max_cut_non_bipartite_witness(block_cells):
     g = make_random_regular(15, 4, seed=3)  # odd n: never bipartite
     acc = per_edge_cut_sizes(g)
-    with mock.patch.object(oracle, "_BLOCK_CELLS", block_cells):
+    with mock.patch.object(oracle, "_BLOCK_BYTES", block_cells):
         size, witness = max_cut_exact(g)
     assert (size, witness) == (int(acc.max()), mask_cut(np.argmax(acc), g.n))
     assert cut_size(g, witness) == size
