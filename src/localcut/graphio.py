@@ -200,7 +200,7 @@ def _parse_bytes(text: str) -> Optional[tuple]:
     # n ID rows that leave no vertex without an ID name each vertex once
     if rows != due or (ids is not None and ids.min() < 0):
         return None
-    return n, d, directed, pairs, None if ids is None else ids.tolist()
+    return n, d, directed, pairs, ids
 
 
 def _parse_lines(text: str) -> tuple:

@@ -11,10 +11,18 @@ different sides and `cut_size` counts them;
 disjoint union lays graphs side by side, each on a run of vertices that
 `component_offsets` locates. Vertices are 0..n-1 throughout; IDs (distinct positive integers, kept as
 Python ints) live in a separate Labelling so a graph can carry many.
+
+Construction checks run at array speed. A Labelling given an integer
+array decides distinctness and bounds from one sort of it; other input is
+checked per ID. `RegularGraph.from_edges` skips the symmetry sort that
+`RegularGraph(adjacency)` runs: it lays out both directions of every edge
+after checking every degree, so its adjacency is symmetric by
+construction, and loops or repeated edges still fail the row checks.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from collections import deque
@@ -29,6 +37,8 @@ RIGHT = 1
 # Graphs allocate per-vertex arrays, and a graph with d = 0 has no edges to
 # back its n, so every vertex count must lie in 1 <= n < 2^32.
 _MAX_N = 2 ** 32
+# Up to this many IDs, random.sample beats the numpy decode of _random_ids.
+_SAMPLE_MAX_N = 40
 
 
 def _require_vertex_count(n: int) -> None:
@@ -73,8 +83,11 @@ def _int_pairs(pairs, what: str, copy: bool = True) -> np.ndarray:
     return a.reshape(-1, 2)
 
 
-def _adjacency_defect(adj: Optional[np.ndarray], d: Optional[int]) -> Optional[str]:
-    """Why an int64 adjacency with sorted rows is not simple d-regular, or None."""
+def _adjacency_defect(adj: Optional[np.ndarray], d: Optional[int],
+                      symmetric: bool = False) -> Optional[str]:
+    """Why an int64 adjacency with sorted rows is not simple d-regular, or
+    None; symmetric=True skips the symmetry test, for an adjacency that
+    holds both directions of every edge by construction."""
     if adj is None or adj.ndim != 2 or adj.shape[1] != (adj.shape[1] if d is None else d):
         return "rows are not all d integers long"
     n, d = adj.shape
@@ -85,6 +98,8 @@ def _adjacency_defect(adj: Optional[np.ndarray], d: Optional[int]) -> Optional[s
         return "a vertex is its own neighbor"
     if np.any(adj[:, 1:] == adj[:, :-1]):
         return "a vertex lists a neighbor twice"
+    if symmetric:
+        return None
     # keys u*n+v ascend in row-major order; symmetric iff the v*n+u, sorted,
     # equal them, that is, less adj they leave u*n throughout row u
     back = adj * n
@@ -103,7 +118,7 @@ def _covers_once(arcs: np.ndarray, n: int, edges: np.ndarray) -> bool:
         return False
     if not arcs.size:
         return True
-    keys, hi = arcs.min(axis=1), arcs.max(axis=1)
+    keys, hi = np.minimum(arcs[:, 0], arcs[:, 1]), np.maximum(arcs[:, 0], arcs[:, 1])
     if keys.min() < 0 or hi.max() >= n:
         return False
     # each arc's edge as the key u*n+v, u < v: sorted, the keys of edges()
@@ -149,9 +164,11 @@ class RegularGraph:
         self._take(adj, d, family, family_params)
 
     def _take(self, adj: Optional[np.ndarray], d: Optional[int],
-              family: Optional[str], family_params: Optional[tuple]) -> None:
-        """Check an int64 adjacency with sorted rows and keep it, not a copy."""
-        defect = _adjacency_defect(adj, d)
+              family: Optional[str], family_params: Optional[tuple],
+              symmetric: bool = False) -> None:
+        """Check an int64 adjacency with sorted rows and keep it, not a copy;
+        symmetric=True as in _adjacency_defect."""
+        defect = _adjacency_defect(adj, d, symmetric)
         if defect:
             raise InvalidParameterError(f"adjacency is not a simple d-regular graph: {defect}")
         self.n, self.d = adj.shape
@@ -186,7 +203,7 @@ class RegularGraph:
                 f"adjacency is not a simple {d}-regular graph: degrees differ"
             )
         # both directions of every edge as keys u*n+v: sorted, they are the
-        # rows of the adjacency in order, d per vertex
+        # rows of the adjacency in order, d per vertex, and symmetric
         m = len(e)
         keys = np.empty(2 * m, dtype=np.int64)
         np.multiply(e[:, 0], n, out=keys[:m])
@@ -196,7 +213,7 @@ class RegularGraph:
         keys.sort()
         keys %= n
         g = cls.__new__(cls)
-        g._take(keys.reshape(n, d), d, family, family_params)
+        g._take(keys.reshape(n, d), d, family, family_params, symmetric=True)
         return g
 
     def edges(self) -> np.ndarray:
@@ -274,27 +291,38 @@ class Labelling:
 
     def __init__(self, ids: Sequence[int], id_bound: Optional[int] = None,
                  origin: Optional[str] = None):
-        # read twice below: copy a one-shot iterable, but not a list
-        raw = ids if isinstance(ids, (list, tuple)) else tuple(ids)
-        try:
-            ids = tuple(map(operator.index, raw))
-        except TypeError:
-            raise InvalidParameterError("IDs must be integers") from None
-        if bool in set(map(type, raw)):
-            raise InvalidParameterError("IDs must be integers, not bools")
+        if isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu":
+            # an integer array: one sort decides distinctness, its ends the
+            # bounds, and the sorted copy is gone before the tuple is built
+            ordered = np.sort(ids)
+            distinct = not np.any(ordered[1:] == ordered[:-1])
+            low, high = ordered[[0, -1]].tolist() if len(ordered) else (0, 0)
+            del ordered
+            ids = tuple(ids.tolist())
+        else:
+            # read twice below: copy a one-shot iterable, but not a list
+            raw = ids if isinstance(ids, (list, tuple)) else tuple(ids)
+            try:
+                ids = tuple(map(operator.index, raw))
+            except TypeError:
+                raise InvalidParameterError("IDs must be integers") from None
+            if bool in set(map(type, raw)):
+                raise InvalidParameterError("IDs must be integers, not bools")
+            distinct = len(set(ids)) == len(ids)
+            low, high = (min(ids), max(ids)) if ids else (0, 0)
         n = len(ids)
         if id_bound is None:
             id_bound = n ** 3
-        if len(set(ids)) != n:
+        if not distinct:
             raise InvalidParameterError("IDs must be distinct")
-        if ids and (min(ids) < 1 or max(ids) > id_bound):
+        if n and (low < 1 or high > id_bound):
             raise InvalidParameterError(
                 f"IDs must lie in [1, {id_bound}]"
             )
         self.ids = ids
         self.n = n
         self.id_bound = id_bound
-        self.max_id = max(ids) if ids else 0
+        self.max_id = high
         self.origin = origin
 
     def id_array(self) -> np.ndarray:
@@ -319,15 +347,78 @@ def identity_labelling(n: int) -> Labelling:
     return Labelling(range(1, n + 1), origin="identity")
 
 
-def _random_ids(n: int, seed: int, id_bound: int) -> list[int]:
-    """n distinct IDs sampled uniformly from [1, id_bound]."""
-    return random.Random(seed).sample(range(1, id_bound + 1), n)
+def _random_ids(n: int, seed: int, id_bound: int) -> list[int] | np.ndarray:
+    """Exactly random.Random(seed).sample(range(1, id_bound + 1), n): n
+    distinct IDs drawn uniformly from [1, id_bound], in draw order.
+
+    pre: 0 <= n <= id_bound. sample's set method draws getrandbits(b), b
+    the bit length of id_bound, until a draw below id_bound that it has not
+    drawn before, and takes population[draw] = draw + 1. Below 2^63 the
+    draws are decoded in numpy from one getrandbits call (see _draws), the
+    first occurrences kept in draw order, and an int64 array is returned.
+    sample itself runs its pool method (a population of at most its
+    `setsize`) and small n, where it is faster; from 2^63 on, where range()
+    has no length, the set method runs here in Python.
+    """
+    rng, bits = random.Random(seed), id_bound.bit_length()
+    if id_bound >= 2 ** 63:
+        ids: list[int] = []
+        seen: set[int] = set()
+        while len(ids) < n:
+            j = rng.getrandbits(bits)
+            if j < id_bound and j not in seen:
+                seen.add(j)
+                ids.append(j + 1)
+        return ids
+    # the second test is sample's own for its pool method at n > 5, float
+    # arithmetic included
+    if n <= _SAMPLE_MAX_N or id_bound <= 21 + 4 ** math.ceil(math.log(n * 3, 4)):
+        return rng.sample(range(1, id_bound + 1), n)
+    draws = np.empty(0, dtype=np.int64)
+    have = 0
+    while have < n:
+        # the draws left to expect: each is below id_bound with probability
+        # id_bound / 2^bits, and is new with probability (id_bound - k) / id_bound
+        # after k distinct ones; a margin of a few deviations makes a second
+        # batch rare
+        left = 2.0 ** bits * (math.log1p(-have / id_bound) - math.log1p(-n / id_bound))
+        batch = _draws(rng, bits, int(left + 4 * math.sqrt(left)) + 32)
+        draws = np.concatenate([draws, batch[batch < id_bound]])
+        _, first = np.unique(draws, return_index=True)
+        have = len(first)
+    first.sort()
+    ids = draws[first[:n]]
+    ids += 1
+    return ids
+
+
+def _draws(rng: random.Random, bits: int, k: int) -> np.ndarray:
+    """k calls to rng.getrandbits(bits), 1 <= bits <= 63, from one
+    getrandbits(32wk) call, w = ceil(bits / 32): each call takes w 32-bit
+    generator outputs, packed little-endian, and shifts the top one right
+    by 32w - bits; coin_flips is the case bits = 1, kept apart for its many
+    short calls. uint32 for one word, int64 for two."""
+    w = -(-bits // 32)
+    words = rng.getrandbits(32 * w * k).to_bytes(4 * w * k, "little")
+    words = np.frombuffer(words, dtype="<u4").reshape(k, w)
+    draws = words[:, -1] >> (32 * w - bits)
+    if w == 2:
+        draws = draws.astype(np.int64) << 32
+        draws |= words[:, 0]
+    return draws
 
 
 def random_labelling(n: int, seed: int, id_bound: Optional[int] = None) -> Labelling:
-    """n distinct IDs sampled uniformly from [1, id_bound] (default n^3)."""
-    if id_bound is None:
-        id_bound = n ** 3
+    """n distinct IDs drawn uniformly from [1, id_bound] (default n^3):
+    exactly random.Random(seed).sample(range(1, id_bound + 1), n), decoded
+    in numpy (see _random_ids); any id_bound >= n is taken, 2^63 and past
+    included. InvalidParameterError for n < 0 or id_bound < n."""
+    n = operator.index(n)
+    if n < 0:
+        raise InvalidParameterError(f"need n >= 0 IDs, got n={n}")
+    id_bound = n ** 3 if id_bound is None else operator.index(id_bound)
+    if id_bound < n:
+        raise InvalidParameterError(f"cannot draw {n} distinct IDs from [1, {id_bound}]")
     return Labelling(_random_ids(n, seed, id_bound), id_bound=id_bound,
                      origin=f"random(seed={seed})")
 

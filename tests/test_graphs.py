@@ -158,6 +158,83 @@ def test_labelling_default_bound_is_n_cubed():
         Labelling([1, 2, 28])
 
 
+def labelling_outcome(ids, **kw):
+    """(ids, max_id, id_bound) of Labelling(ids), or the message it raises."""
+    try:
+        lab = Labelling(ids, **kw)
+    except InvalidParameterError as e:
+        return str(e)
+    assert all(type(x) is int for x in lab.ids)
+    return lab.ids, lab.max_id, lab.id_bound
+
+
+@pytest.mark.parametrize("ids,kw", [
+    (np.array([1, 2, 2]), {}),
+    (np.array([5, 3, 5, 1], dtype=np.int32), {}),
+    (np.array([0, 1]), {}),
+    (np.array([-1, 2], dtype=np.int8), {}),
+    (np.array([1, 9]), {"id_bound": 8}),
+    (np.array([1, 8]), {"id_bound": 8}),
+    (np.array([1, 28]), {}),
+    (np.array([True, False]), {}),
+    (np.array([True]), {}),
+    (np.array([3, 1, 2], dtype=np.int32), {}),
+    (np.array([3, 1, 2], dtype=np.uint16), {}),
+    (np.array([2 ** 63 + 5, 1, 2 ** 64 - 1], dtype=np.uint64), {"id_bound": 2 ** 64}),
+    (np.array([2 ** 63 + 5, 1, 2 ** 64 - 1], dtype=np.uint64), {"id_bound": 2 ** 64 - 2}),
+    (np.array([2 ** 63, 2 ** 63], dtype=np.uint64), {"id_bound": 2 ** 64}),
+    (np.array([2 ** 62, 7]), {"id_bound": 2 ** 63 - 1}),
+    (np.array([], dtype=np.int64), {}),
+    (np.array([], dtype=np.int64), {"id_bound": -3}),
+    (np.array([[1, 2]]), {}),
+])
+def test_labelling_array_path_matches_list_path(ids, kw):
+    # an integer array takes the sort-based path; the list of its elements
+    # (numpy scalars, as iterating it gives) takes the per-ID path
+    assert labelling_outcome(ids, **kw) == labelling_outcome(list(ids), **kw)
+
+
+def test_labelling_array_memory_is_the_tuple():
+    # one sorted copy (8 bytes per ID), gone before the tuple and its ints
+    # (40) and the list tolist() builds (8) exist; a set of the IDs or a
+    # tuple of numpy scalars on the way would take about twice the bound
+    n = 10 ** 5
+    ids = np.random.default_rng(1).choice(n ** 3, n, replace=False) + 1
+    out = []
+    assert peak_bytes(lambda: out.append(Labelling(ids))) < 64 * n
+    assert out[0].ids == tuple(ids.tolist())
+
+
+def reference_sample(n, seed, id_bound):
+    """random.sample's set method on range(1, id_bound + 1), which range()
+    cannot take from 2^63 on: getrandbits with rejection, first occurrences."""
+    rng, bits, ids = random.Random(seed), id_bound.bit_length(), []
+    while len(ids) < n:
+        j = rng.getrandbits(bits)
+        if j < id_bound and j + 1 not in ids:
+            ids.append(j + 1)
+    return tuple(ids)
+
+
+@pytest.mark.parametrize("id_bound", [2 ** 63, 2 ** 63 + 1, 2 ** 64 + 3, 10 ** 30])
+@pytest.mark.parametrize("n", [1, 5, 60])
+def test_random_labelling_past_int64(n, id_bound):
+    lab = random_labelling(n, seed=1, id_bound=id_bound)
+    assert lab.ids == reference_sample(n, 1, id_bound)
+    assert lab.id_bound == id_bound
+
+
+def test_random_labelling_takes_a_bound_of_n():
+    assert sorted(random_labelling(50, seed=1, id_bound=50).ids) == list(range(1, 51))
+    assert random_labelling(0, seed=1).ids == ()
+
+
+@pytest.mark.parametrize("n,id_bound", [(5, 3), (-1, None), (-1, 10), (1, 0), (100, 99)])
+def test_random_labelling_rejects_impossible_draws(n, id_bound):
+    with pytest.raises(InvalidParameterError):
+        random_labelling(n, seed=1, id_bound=id_bound)
+
+
 def test_random_labelling_reproducible():
     a = random_labelling(10, seed=5)
     b = random_labelling(10, seed=5)

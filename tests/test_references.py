@@ -64,7 +64,7 @@ from localcut import (
     window_edge_count,
     window_edge_counts,
 )
-from localcut import bounds, graphio, verify
+from localcut import bounds, graphio, graphs, verify
 from localcut.congest import RoundTrace, decode_id, encode_id
 from localcut.graphs import same_side_counts
 from localcut.verify import _even_n, _report, double_circulant_halves, verify_claim2
@@ -939,6 +939,42 @@ def test_random_streams_equal_one_bit_draws(seed):
     assert make_random_orientation(g, seed).arcs.tolist() == want
 
 
+@st.composite
+def id_draws(draw):
+    """(n, seed, id_bound): n up to 2000, and a bound from n to 2^63 - 1 that
+    may be n^3, a power of two, 2^32 +- 1 (where a draw takes a second
+    32-bit word) or at most 12n + 22, which reaches both sides of the line
+    between random.sample's pool and set methods."""
+    n = draw(st.integers(min_value=0, max_value=2000))
+    top = 2 ** 63 - 1
+    bound = draw(st.one_of(
+        st.integers(min_value=n, max_value=12 * n + 22),
+        st.integers(min_value=n, max_value=top),
+        st.sampled_from([n, n ** 3, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, top]),
+        st.integers(min_value=0, max_value=62).map(lambda k: 2 ** k),
+    ).filter(lambda b: n <= b <= top))
+    return n, draw(seeds), bound
+
+
+@given(id_draws())
+@settings(max_examples=300)
+def test_random_ids_are_the_stdlib_sample(case):
+    n, seed, id_bound = case
+    want = tuple(random.Random(seed).sample(range(1, id_bound + 1), n))
+    assert random_labelling(n, seed, id_bound).ids == want
+
+
+@pytest.mark.parametrize("n,id_bound", [(100, 10 ** 6), (500, 2 ** 40), (300, 1300)])
+def test_random_ids_continue_across_short_batches(monkeypatch, n, id_bound):
+    # batches cut to 7 draws make the decode draw again and again; the
+    # stream must go on where the last batch ended (1300 > the set method's
+    # threshold 1045 at n=300, so many draws repeat)
+    draws = graphs._draws
+    monkeypatch.setattr(graphs, "_draws", lambda rng, bits, k: draws(rng, bits, min(k, 7)))
+    want = tuple(random.Random(1).sample(range(1, id_bound + 1), n))
+    assert random_labelling(n, 1, id_bound).ids == want
+
+
 # --- union corpora ----------------------------------------------------------------
 
 def construction_outcome(build):
@@ -1176,6 +1212,55 @@ def test_validation_matches_set_reference(case):
     else:
         with pytest.raises(InvalidParameterError):
             RegularGraph(adj, d=d)
+
+
+@st.composite
+def damaged_edge_lists(draw):
+    """(n, edges, d): the edges of a regular graph, as pairs in either
+    order, with up to four changes. A swap trades the ends of two edges,
+    (a, b), (c, d) -> (a, c), (b, d): every degree stays d, but a loop
+    appears when a = c and a repeated edge when (b, d) is one already. A
+    moved endpoint, a repeated edge or a dropped one leaves uneven degrees."""
+    d = draw(st.sampled_from(range(0, 6)))
+    n = draw(st.integers(min_value=d + 1, max_value=20))
+    n += (n * d) % 2
+    edges = [[u, v] if draw(st.booleans()) else [v, u]
+             for u, v in make_random_regular(n, d, seed=draw(seeds)).edges().tolist()]
+    vertices = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(["swap", "swap", "move", "repeat", "drop"]))
+        if not edges:
+            edges.append([draw(vertices), draw(vertices)])
+            continue
+        i, j = (draw(st.integers(min_value=0, max_value=len(edges) - 1)) for _ in "ij")
+        if kind == "swap" and i != j:
+            (a, b), (c, e) = edges[i], edges[j]
+            edges[i], edges[j] = [a, c], [b, e]
+        elif kind == "move":
+            edges[i][draw(st.integers(0, 1))] = draw(vertices)
+        elif kind == "repeat":
+            edges.append(list(edges[i]))
+        elif kind == "drop":
+            edges.pop(i)
+    return n, edges, draw(st.sampled_from([None, d]))
+
+
+@given(damaged_edge_lists())
+@settings(max_examples=300)
+def test_from_edges_matches_set_reference(case):
+    # from_edges runs no symmetry test: both directions of each edge go in
+    n, edges, d = case
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    valid = ref_validate_regular(adj, len(adj[0]) if d is None else d)
+    if valid:
+        got = RegularGraph.from_edges(n, edges, d=d)
+        assert got.adj.tolist() == [sorted(r) for r in adj]
+    else:
+        with pytest.raises(InvalidParameterError):
+            RegularGraph.from_edges(n, edges, d=d)
 
 
 @pytest.mark.parametrize("adjacency,defect", [
