@@ -27,9 +27,7 @@ from .algorithms import (
 from .bounds import (
     FlipDecomposition,
     InequalityVerdict,
-    all_inequalities_hold,
     check_inequalities,
-    check_window_bound,
     check_window_bounds,
     decompose,
     f_d,
@@ -39,7 +37,6 @@ from .bounds import (
     tower,
     two_flip_floor,
     window_bound,
-    window_edge_count,
     window_edge_counts,
 )
 from .congest import (
@@ -86,18 +83,15 @@ from .graphs import (
     Orientation,
     RIGHT,
     RegularGraph,
-    boundary_size,
     component_offsets,
     cut_edges,
     cut_size,
-    deficit_partition,
     dicut_arcs,
     dicut_size,
     identity_labelling,
     is_bipartite,
     monochromatic_components,
     random_labelling,
-    validate_regular,
 )
 from .oracle import (
     enumerate_max_dicuts,

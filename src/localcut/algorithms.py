@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, Union
 
 import numpy as np
 
@@ -92,41 +91,24 @@ def is_maximal_cut(g: RegularGraph, c: Cut) -> bool:
     return not np.any(2 * same_side_counts(g, c) > g.d)
 
 
-def sequential_flip_to_maximal(g: RegularGraph, c: Cut,
-                               order: Union[str, Callable[[list[int]], int]] = "lowest"
-                               ) -> Cut:
+def sequential_flip_to_maximal(g: RegularGraph, c: Cut, order: str = "lowest") -> Cut:
     """Flip one improving vertex at a time until the cut is maximal.
 
     Each flip grows the cut, so at most m flips happen and the result is at
-    least m/2. `order` picks among improving vertices: "lowest" (default),
-    "highest", or a callable receiving the ascending candidate list. The
-    named policies keep the candidates in a heap with lazy deletion, so a
-    flip costs O(d log n); a callable gets the full list, O(n) per flip.
+    least m/2. `order` picks among improving vertices: "lowest" (default)
+    or "highest". The candidates sit in a heap with lazy deletion, so a
+    flip costs O(d log n).
     """
-    if order not in ("lowest", "highest") and not callable(order):
+    if order not in ("lowest", "highest"):
         raise InvalidParameterError(f"unknown order policy {order!r}")
-    if c.n != g.n:
-        raise InvalidParameterError(f"cut covers {c.n} vertices, graph has {g.n}")
-    d, sides = g.d, c.sides.copy()
+    d = g.d
     same = same_side_counts(g, c)
-    if callable(order):
-        for flips in range(g.m + 1):
-            candidates = np.flatnonzero(2 * same > d)
-            if not candidates.size:
-                return Cut(sides)
-            v = order(candidates.tolist())
-            # only v and its d neighbours change their same-side counts
-            sides[v] ^= 1
-            same[v] = d - same[v]
-            nbrs = g.adj[v]
-            same[nbrs] += np.where(sides[nbrs] == sides[v], 1, -1)
-        raise InvariantError("more than m improving flips; cut bookkeeping bug")
     # heap keys are v ("lowest") or -v ("highest"); an entry whose vertex
     # has stopped improving is dropped when it surfaces
     sign = 1 if order == "lowest" else -1
     heap = (sign * np.flatnonzero(2 * same > d)).tolist()
     heapq.heapify(heap)
-    adj, sides, same = g.adj.tolist(), sides.tolist(), same.tolist()
+    adj, sides, same = g.adj.tolist(), c.sides.tolist(), same.tolist()
     improving = d // 2 + 1  # the least same-side count that makes a flip pay
     flips = 0
     while heap:

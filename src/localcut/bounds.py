@@ -210,10 +210,6 @@ def check_inequalities(dec: FlipDecomposition) -> dict[str, InequalityVerdict]:
     }
 
 
-def all_inequalities_hold(verdicts: dict[str, InequalityVerdict]) -> bool:
-    return all(v.holds for v in verdicts.values())
-
-
 def tower(k: int, x: int) -> int:
     """Iterated exponential: twr_1(x) = x, twr_k(x) = 2^twr_{k-1}(x).
 
@@ -273,14 +269,6 @@ def window_edge_counts(g: RegularGraph, start: int) -> np.ndarray:
     return counts
 
 
-def window_edge_count(g: RegularGraph, start: int, length: int) -> int:
-    """Exact number of edges inside `length` consecutive circulant positions."""
-    counts = window_edge_counts(g, start)
-    if not 0 <= length <= g.n:
-        raise InvalidParameterError(f"window length must be in [0, {g.n}]")
-    return int(counts[length])
-
-
 def _twice_window_bound(d: int, length, r: int):
     """2 * window_bound = l*d - d(r-1) - d^2, for an int or an int array l."""
     if r < 1 or r % 2 == 0:
@@ -293,27 +281,15 @@ def window_bound(d: int, length: int, r: int) -> Fraction:
     return Fraction(_twice_window_bound(d, length, r), 2)
 
 
-def check_window_bound(g: RegularGraph, start: int, length: int, r: int
-                       ) -> tuple[int, Fraction, bool]:
-    """Count edges in the margin-trimmed window and compare to the floor.
-
-    The window of `length` positions loses (r-1)/2 positions on each side
-    before counting, matching how the radius-r information margin is spent.
-    Returns (count, bound, count >= bound).
-    """
-    bound = window_bound(g.d, length, r)
-    margin = (r - 1) // 2
-    inner = max(0, length - 2 * margin)
-    count = window_edge_count(g, start + margin, inner)
-    return count, bound, count >= bound
-
-
 def check_window_bounds(g: RegularGraph, start: int, r: int
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """check_window_bound for every length r..n at once, in integers.
+    """Compare every window length l = r..n from `start` with its floor, in
+    integers.
 
-    Returns int64 arrays of the lengths and their trimmed-window counts, and
-    the boolean mask 2*count >= 2*bound.
+    A window of l positions loses (r-1)/2 positions on each side before its
+    edges are counted, matching how the radius-r information margin is
+    spent. Returns int64 arrays of the lengths and their trimmed-window
+    counts, and the boolean mask 2*count >= 2*window_bound(d, l, r).
     """
     lengths = np.arange(r, g.n + 1)
     twice_bounds = _twice_window_bound(g.d, lengths, r)

@@ -1,8 +1,9 @@
 """Command-line harness: gen / run / verify / oracle.
 
 Exit codes: 0 success, 1 a checked guarantee failed, 2 bad usage or
-parameters, 3 budget or search exhaustion. Results are flat JSON records
-on stdout (and optionally --out) with stable field names.
+parameters, 3 budget or search exhaustion, or running out of memory.
+Results are flat JSON records on stdout (and optionally --out) with stable
+field names.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from .algorithms import (
     distributed_flip_step,
     is_maximal_cut,
     median_cut,
-    oriented_median_cut,
     oriented_median_plus_flips,
     random_cut,
     sequential_flip_to_maximal,
 )
 from .bounds import median_floor, oriented_ratio, two_flip_floor
-from .congest import MedianProgram, run, run_bit_serialized_median
+from .congest import run_bit_serialized_median
 from .errors import (
     BudgetError,
     ConstructionError,
@@ -50,7 +50,6 @@ from .graphs import (
     Labelling,
     Orientation,
     cut_size,
-    dicut_size,
     identity_labelling,
 )
 from .oracle import enumerate_max_dicuts, max_cut_exact, max_dicut_exact
@@ -149,10 +148,10 @@ def cmd_run(args) -> int:
 
     if args.algo == "median":
         lab = _labelling_for(args, g, lab_file)
-        if args.congest_b is not None:
-            cut, trace = run_bit_serialized_median(g, lab, args.congest_b)
-        else:
-            cut, trace = run(MedianProgram(max(1, lab.max_id.bit_length())), g, lab)
+        chunk = args.congest_b
+        if chunk is None:  # the whole ID width: one round
+            chunk = max(1, lab.max_id.bit_length())
+        cut, trace = run_bit_serialized_median(g, lab, chunk)
         if cut != median_cut(g, lab):
             raise InvariantError("simulated median disagrees with the function")
         record["cut0"] = cut_size(g, cut)
@@ -277,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flips", type=_non_negative_int, default=2)
     p.add_argument("--rounds", type=_non_negative_int, default=10)
     p.add_argument("--start", choices=["all-left", "half", "random"], default="half")
-    p.add_argument("--order", default="lowest")
+    p.add_argument("--order", choices=["lowest", "highest"], default="lowest")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--congest-b", type=int, default=None,
                    help="per-message bit limit; serializes the median rule")
@@ -305,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_code(exc: Exception) -> int:
     if isinstance(exc, (InvalidParameterError, OSError)):
         return 2
-    if isinstance(exc, (BudgetError, SearchNotFoundError, ConstructionError)):
+    if isinstance(exc, (BudgetError, SearchNotFoundError, ConstructionError,
+                        MemoryError)):
         return 3
     return 1
 
@@ -314,8 +314,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (LocalcutError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LocalcutError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _exit_code(exc)
 
 

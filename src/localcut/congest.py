@@ -183,38 +183,11 @@ def _check_bit_limit(outbox: list[Optional[str]], d: int, round_index: int,
             raise CongestionError(node, port, round_index, len(msg), bit_limit) from None
 
 
-class MedianProgram(NodeProgram):
-    """One-round median rule: broadcast own ID, then decide from the medians.
-
-    `id_width` fixes the message width for every node (bitlen of the largest
-    ID in play).
-    """
-
-    def __init__(self, id_width: int):
-        if id_width < 1:
-            raise InvalidParameterError("id_width must be >= 1")
-        self.id_width = id_width
-
-    def init(self, own_id, degree, port_count):
-        if degree % 2 == 0:
-            raise InvalidParameterError("median rule needs odd degree")
-        return {"id": own_id}
-
-    def step(self, state, round_index, inbound):
-        ports = len(inbound)
-        if round_index == 0:
-            return state, (encode_id(state["id"], self.id_width),) * ports, None
-        neighbor_ids = sorted(decode_id(msg) for msg in inbound)
-        median = neighbor_ids[len(neighbor_ids) // 2]
-        side = LEFT if median > state["id"] else RIGHT
-        return state, (None,) * ports, side
-
-
 class BitSerializedMedianProgram(NodeProgram):
     """Median rule under CONGEST(B): stream the ID in B-bit chunks.
 
     Takes ceil(id_width / chunk_bits) rounds; with chunk_bits >= id_width it
-    degenerates to the one-round program.
+    degenerates to the one-round program, `MedianProgram`.
     """
 
     def __init__(self, id_width: int, chunk_bits: int):
@@ -249,6 +222,17 @@ class BitSerializedMedianProgram(NodeProgram):
         median = neighbor_ids[len(neighbor_ids) // 2]
         side = LEFT if median > state["id"] else RIGHT
         return state, (None,) * ports, side
+
+
+class MedianProgram(BitSerializedMedianProgram):
+    """One-round median rule: broadcast own ID, then decide from the median.
+
+    The bit-serialized program with a single chunk of `id_width` bits (the
+    bitlen of the largest ID in play), so every message is that wide.
+    """
+
+    def __init__(self, id_width: int):
+        super().__init__(id_width, id_width)
 
 
 class FlipProgram(NodeProgram):

@@ -27,14 +27,7 @@ class BudgetError(LocalcutError):
 
 
 class SearchNotFoundError(LocalcutError):
-    """Search exhausted its budget without meeting the target.
-
-    Carries the best value seen so the caller can report it.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Search exhausted its budget without meeting the target."""
 
 
 class CongestionError(LocalcutError):

@@ -527,8 +527,7 @@ def make_single_flip_stuck_instance(d: int, oracle_budget: int = 24) -> Orientat
     if n > oracle_budget:
         raise SearchNotFoundError(
             f"smallest single-flip-stuck instance for d={d} has {n} vertices, "
-            f"beyond the dicut oracle budget of {oracle_budget}",
-            best=None,
+            f"beyond the dicut oracle budget of {oracle_budget}"
         )
     out_hi, in_lo = (d + 1) // 2, (d - 1) // 2
 

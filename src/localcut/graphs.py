@@ -130,19 +130,6 @@ def _covers_once(arcs: np.ndarray, n: int, edges: np.ndarray) -> bool:
     return np.array_equal(keys, hi)
 
 
-def validate_regular(adjacency, d: int) -> bool:
-    """True iff per-vertex neighbor sequences form a simple d-regular graph.
-
-    Takes raw sequences (or an (n, d) array), so it can vet candidate
-    structures before a RegularGraph exists.
-    """
-    try:
-        RegularGraph(adjacency, d=d)
-    except InvalidParameterError:
-        return False
-    return True
-
-
 class RegularGraph:
     """Simple undirected d-regular graph on vertices 0..n-1.
 
@@ -270,12 +257,6 @@ class Orientation:
 
     def __repr__(self) -> str:
         return f"Orientation(n={self.graph.n}, d={self.graph.d})"
-
-
-def deficit_partition(o: Orientation) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Split vertices into (V+, V-, V0) by deficit sign."""
-    delta = o.deficits
-    return tuple(tuple(np.flatnonzero(m).tolist()) for m in (delta > 0, delta < 0, delta == 0))
 
 
 class Labelling:
@@ -454,10 +435,6 @@ class Cut:
     def right_vertices(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.sides == RIGHT).tolist())
 
-    def mirrored(self) -> "Cut":
-        """Swap the two sides."""
-        return Cut(1 - self.sides)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cut):
             return NotImplemented
@@ -546,9 +523,3 @@ def monochromatic_components(g: RegularGraph, c: Cut) -> list[frozenset[int]]:
         components.append(frozenset(comp))
     return components
 
-
-def boundary_size(g: RegularGraph, vertices: Iterable[int]) -> int:
-    """Number of edges with exactly one endpoint in the vertex set; every
-    vertex must lie in 0..n-1."""
-    inside, e = _vertex_mask(g.n, vertices), g.edges()
-    return int(np.count_nonzero(inside[e[:, 0]] != inside[e[:, 1]]))

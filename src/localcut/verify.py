@@ -453,7 +453,7 @@ def verify_claim2(seed: int = 0, degrees: tuple[int, ...] = (4, 6),
                     f"C_{n}^{d} l={length} r={r}: {count} < "
                     f"{bounds.window_bound(d, length, r)}"
                 )
-    count = bounds.window_edge_count(make_circulant(12, 4), 0, 6)
+    count = int(bounds.window_edge_counts(make_circulant(12, 4), 0)[6])
     cases += 1
     if count != 8:
         violations.append(f"window count C_12^4 l=6: {count}, expected 8")

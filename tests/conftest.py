@@ -23,6 +23,23 @@ settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
 
+def ref_validate_regular(adjacency, d):
+    """Set-based check of a simple d-regular adjacency."""
+    adj = [tuple(nbrs) for nbrs in adjacency]
+    n = len(adj)
+    neighbor_sets = []
+    for u, nbrs in enumerate(adj):
+        seen = set(nbrs)
+        if len(nbrs) != d or len(seen) != d:
+            return False
+        if u in seen:
+            return False
+        if any(not (0 <= v < n) for v in nbrs):
+            return False
+        neighbor_sets.append(seen)
+    return all(u in neighbor_sets[v] for u in range(n) for v in neighbor_sets[u])
+
+
 def small_regular_graphs(max_half: int = 8, degrees: tuple[int, ...] = (3, 5)):
     """Seeded random regular graphs small enough for the exact oracles."""
 

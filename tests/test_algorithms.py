@@ -11,7 +11,6 @@ from localcut import (
     LEFT,
     RIGHT,
     UnsupportedDegreeError,
-    boundary_size,
     complete_graph,
     cut_size,
     dicut_arcs,
@@ -36,6 +35,7 @@ from localcut import (
     stable_vertices,
     unstable_flip_step,
 )
+from localcut import algorithms
 
 from conftest import labelling_for, oriented_graphs, peak_bytes, small_regular_graphs
 
@@ -102,7 +102,8 @@ def test_median_component_boundaries(g, seed):
     d = g.d
     for comp in monochromatic_components(g, c):
         k = len(comp)
-        b = boundary_size(g, comp)
+        inside = np.isin(g.edges(), list(comp))
+        b = int(np.count_nonzero(inside[:, 0] != inside[:, 1]))
         if 2 * k >= d + 1:
             assert 4 * b >= 4 * k + (d - 1) * (d + 1)
         else:
@@ -252,27 +253,21 @@ def test_sequential_flip_order_policies():
     assert cut_size(g, low) == cut_size(g, high) == 4
     assert low != high
 
-    picked = []
 
-    def tracker(candidates):
-        picked.append(tuple(candidates))
-        return candidates[0]
-
-    sequential_flip_to_maximal(g, start, order=tracker)
-    assert picked[0] == (0, 1, 2, 3)
-
-
-def test_sequential_flip_guard_raises_invariant_error():
-    # a policy that keeps flipping vertex 0 back and forth never finishes
-    g = complete_graph(4)
+def test_sequential_flip_guard_raises_invariant_error(monkeypatch):
+    # same-side counts that disagree with the sides (true counts 2, 2, 0, 2)
+    # keep vertices improving past m flips; only the guard stops the loop
+    monkeypatch.setattr(algorithms, "same_side_counts", lambda g, c: np.array([2, 4, 5, 4]))
     with pytest.raises(InvariantError, match="more than m"):
-        sequential_flip_to_maximal(g, Cut([LEFT] * 4), order=lambda candidates: 0)
+        sequential_flip_to_maximal(complete_graph(4), Cut([LEFT, LEFT, RIGHT, LEFT]))
 
 
 def test_sequential_flip_rejects_bad_policy_and_partial_cut():
     g = complete_graph(4)
     with pytest.raises(InvalidParameterError):
         sequential_flip_to_maximal(g, Cut([LEFT] * 4), order="sideways")
+    with pytest.raises(InvalidParameterError):
+        sequential_flip_to_maximal(g, Cut([LEFT] * 4), order=min)
     with pytest.raises(InvalidParameterError):
         sequential_flip_to_maximal(g, Cut([LEFT, LEFT, LEFT, None]))
 

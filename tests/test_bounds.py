@@ -10,9 +10,7 @@ from hypothesis import given, settings, strategies as st
 from localcut import (
     Cut,
     InvalidParameterError,
-    all_inequalities_hold,
     check_inequalities,
-    check_window_bound,
     check_window_bounds,
     complete_graph,
     decompose,
@@ -29,7 +27,7 @@ from localcut import (
     tower,
     two_flip_floor,
     window_bound,
-    window_edge_count,
+    window_edge_counts,
 )
 from localcut import bounds
 from localcut.verify import verify_claim2
@@ -145,7 +143,7 @@ def test_k4_inequalities_tight():
         "eq1", "eq1_half", "eq2", "eq2bis", "eq2ter", "eq2quater",
         "eq3", "eq3bis", "eq3ter", "eq2c",
     }
-    assert all_inequalities_hold(verdicts)
+    assert all(v.holds for v in verdicts.values())
     assert verdicts["eq1"].lhs == verdicts["eq1"].rhs == 4
     assert verdicts["eq3"].lhs == 10 and verdicts["eq3"].rhs == 8
     assert verdicts["eq3bis"].lhs == verdicts["eq3bis"].rhs == 8
@@ -160,7 +158,7 @@ def test_decompose_abcd():
     assert np.flatnonzero(dec.M).tolist() == list(range(8, 12))  # C u D exactly
     assert not dec.M_star.any()
     verdicts = check_inequalities(dec)
-    assert all_inequalities_hold(verdicts)
+    assert all(v.holds for v in verdicts.values())
     assert verdicts["eq2"].lhs == verdicts["eq2"].rhs == 6
 
 
@@ -170,7 +168,7 @@ def test_decompose_all_optimal_witnesses():
     best, cuts = enumerate_max_dicuts(o, budget=12)
     assert best == 10
     for witness in cuts:
-        assert all_inequalities_hold(check_inequalities(decompose(o, witness)))
+        assert all(v.holds for v in check_inequalities(decompose(o, witness)).values())
 
 
 @given(oriented_graphs(max_half=6, degrees=(3, 5)))
@@ -181,7 +179,7 @@ def test_decomposition_invariants(o):
     assert not np.any(dec.M_star & ~dec.M)
     assert not np.any(dec.M_one & ~(dec.M & ~dec.M_star))
     assert not np.any(dec.U1 & ~dec.U0)  # flipping only ever stabilizes
-    assert all_inequalities_hold(check_inequalities(dec))
+    assert all(v.holds for v in check_inequalities(dec).values())
 
 
 def test_check_inequalities_rejects_even_d():
@@ -230,19 +228,20 @@ def test_tower_log_star_identity(k, n):
 
 def test_window_edge_count_example():
     g = make_circulant(12, 4)
-    assert window_edge_count(g, 0, 6) == 8  # (6-1) + (6-3)
-    assert window_edge_count(g, 5, 6) == 8  # translation invariant
-    assert window_edge_count(g, 0, 12) == g.m
-    assert window_edge_count(g, 0, 0) == 0
-    assert window_edge_count(g, 0, 1) == 0
+    counts = window_edge_counts(g, 0)
+    assert counts[6] == 8  # (6-1) + (6-3)
+    assert window_edge_counts(g, 5)[6] == 8  # translation invariant
+    assert counts[12] == g.m
+    assert counts[0] == 0
+    assert counts[1] == 0
+    assert len(counts) == 13  # lengths 0..n
 
 
 def test_window_edge_count_validation():
-    g = make_circulant(12, 4)
-    with pytest.raises(InvalidParameterError):
-        window_edge_count(g, 0, 13)
-    with pytest.raises(InvalidParameterError):
-        window_edge_count(complete_graph(4), 0, 2)
+    with pytest.raises(InvalidParameterError, match="circulants"):
+        window_edge_counts(complete_graph(4), 0)
+    with pytest.raises(InvalidParameterError, match="circulants"):
+        check_window_bounds(complete_graph(4), 0, 1)
 
 
 def test_window_bound_values():
@@ -253,9 +252,9 @@ def test_window_bound_values():
 
 def test_check_window_bound_example():
     g = make_circulant(12, 4)
-    count, bound, ok = check_window_bound(g, 0, 6, 1)
-    assert (count, ok) == (8, True)
-    assert bound == window_bound(4, 6, 1)
+    lengths, counts, ok = check_window_bounds(g, 0, 1)
+    assert (lengths[5], counts[5], ok[5]) == (6, 8, True)
+    assert 8 >= window_bound(4, 6, 1) == 4
 
 
 @pytest.mark.parametrize("length", range(1, 17))
@@ -264,8 +263,8 @@ def test_window_bound_holds_on_c16(length, r):
     g = make_circulant(16, 4)
     if r > length:
         return
-    _, _, ok = check_window_bound(g, 3, length, r)
-    assert ok
+    lengths, _, ok = check_window_bounds(g, 3, r)
+    assert lengths[length - r] == length and ok[length - r]
 
 
 def fake_window_counts(monkeypatch, d, offset):
@@ -285,8 +284,6 @@ def test_window_checks_on_the_floor(monkeypatch, offset, holds):
         assert lengths.tolist() == list(range(r, 17))
         assert ok.tolist() == [holds] * len(lengths)
         for length, count in zip(lengths.tolist(), counts.tolist()):
-            assert check_window_bound(g, 0, length, r) == (
-                count, window_bound(4, length, r), holds)
             assert 2 * count == 2 * window_bound(4, length, r) + 2 * offset
 
 

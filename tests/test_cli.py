@@ -9,6 +9,7 @@ from localcut import (
     BudgetError,
     CongestionError,
     ConstructionError,
+    Cut,
     InvalidParameterError,
     InvariantError,
     LocalcutError,
@@ -130,7 +131,7 @@ def test_run_median_congest_b1(tmp_path, capsys):
 def test_run_median_disagreement_is_exit_1_without_traceback(tmp_path, monkeypatch, capsys):
     path = gen(tmp_path, "g.txt", "--family", "random", "--n", "16", "--d", "3")
     capsys.readouterr()
-    monkeypatch.setattr(cli_mod, "median_cut", lambda g, lab: median_cut(g, lab).mirrored())
+    monkeypatch.setattr(cli_mod, "median_cut", lambda g, lab: Cut(1 - median_cut(g, lab).sides))
     assert main(["run", "--algo", "median", "--graph", path]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -186,6 +187,19 @@ def test_run_seqflip_reaches_maximal(tmp_path, capsys):
     assert rec["maximal"] is True
     assert rec["cut_final"] >= 27 / 2
     assert rec["floor_name"] == "half-edges"
+
+
+def test_run_seqflip_takes_the_two_orders_only(tmp_path, capsys):
+    path = gen(tmp_path, "g.txt", "--family", "random", "--n", "18", "--d", "3",
+               "--seed", "5")
+    for order in ("lowest", "highest"):
+        capsys.readouterr()
+        assert main(["run", "--algo", "seqflip", "--graph", path, "--order", order]) == 0
+        assert record_from(capsys)["maximal"] is True
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--algo", "seqflip", "--graph", path, "--order", "sideways"])
+    assert err.value.code == 2
+    assert "invalid choice: 'sideways'" in capsys.readouterr().err
 
 
 def test_run_random_baseline(tmp_path, capsys):
@@ -375,6 +389,7 @@ def test_exit_code_table(tmp_path, capsys, case):
     (NonTerminationError("slow"), 1),
     (InvariantError("bug"), 1),
     (LocalcutError("other"), 1),
+    (MemoryError("Unable to allocate 32.0 GiB for an array"), 3),
 ])
 def test_main_maps_each_error_class_to_its_exit_code(monkeypatch, capsys, error, code):
     def fail(args):
@@ -385,3 +400,12 @@ def test_main_maps_each_error_class_to_its_exit_code(monkeypatch, capsys, error,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {error}\n"
+
+
+def test_main_names_an_error_that_has_no_message(monkeypatch, capsys):
+    def fail(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli_mod, "cmd_verify", fail)
+    assert main(["verify", "--suite", "claim1"]) == 3
+    assert capsys.readouterr() == ("", "error: MemoryError\n")

@@ -36,14 +36,13 @@ from localcut import (
     oriented_median_cut,
     oriented_median_plus_flips,
     stuck_sets,
-    validate_regular,
 )
 import localcut
 from localcut import generators as generators_mod, graphs as graphs_mod
 from localcut.verify import verify_constructions
 from localcut.generators import _pairing_round, _realize_bipartite
 
-from conftest import peak_bytes
+from conftest import peak_bytes, ref_validate_regular
 
 
 # --- circulant families ---------------------------------------------------
@@ -67,7 +66,7 @@ def test_circulant_validation():
 @pytest.mark.parametrize("n,d", [(8, 2), (12, 4), (16, 6), (20, 8)])
 def test_circulant_regular_bipartite(n, d):
     g = make_circulant(n, d)
-    assert validate_regular(g.adj, d)
+    assert ref_validate_regular(g.adj.tolist(), d)
     assert is_bipartite(g)[0]
 
 
@@ -93,7 +92,7 @@ def test_double_circulant_validation():
 def test_double_circulant_regular_bipartite(half, d):
     g = make_double_circulant(half, d)
     assert g.n == 2 * half
-    assert validate_regular(g.adj, d)
+    assert ref_validate_regular(g.adj.tolist(), d)
     assert is_bipartite(g)[0]
 
 
@@ -113,7 +112,7 @@ def test_constructions_suite_checks_the_jumps(name, at, arcs, expected):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(generators_mod, name, lambda n, d: arcs if (n, d) == at else real(n, d))
         g = (make_circulant if name == "_circulant_arcs" else make_double_circulant)(*at)
-        assert validate_regular(g.adj, at[1]) and is_bipartite(g)[0]
+        assert ref_validate_regular(g.adj.tolist(), at[1]) and is_bipartite(g)[0]
         report = verify_constructions()
     assert (report["pass"], report["first_violations"]) == (False, [expected])
     assert verify_constructions()["pass"]
@@ -158,7 +157,7 @@ def test_clockwise_double_circulant_dicut_is_matching():
 def test_random_regular_is_regular(d, half, seed):
     n = 2 * max(half, (d + 2) // 2 + 1)
     g = make_random_regular(n, d, seed=seed)
-    assert validate_regular(g.adj, d)
+    assert ref_validate_regular(g.adj.tolist(), d)
 
 
 def test_random_regular_deterministic():
@@ -191,7 +190,7 @@ def test_random_regular_on_one_vertex_is_empty():
 def test_random_regular_handles_degree_seven():
     # dense enough that naive full restarts would essentially never finish
     g = make_random_regular(16, 7, seed=0)
-    assert validate_regular(g.adj, 7)
+    assert ref_validate_regular(g.adj.tolist(), 7)
 
 
 @pytest.mark.parametrize("d", range(9))
@@ -210,7 +209,7 @@ def test_random_regular_raises_once_restarts_run_out():
     stuck = next(seed for seed in range(1000) if first_attempt_stuck(12, 3, seed))
     with pytest.raises(ConstructionError, match="1 restarts"):
         make_random_regular(12, 3, seed=stuck, max_restarts=1)
-    assert validate_regular(make_random_regular(12, 3, seed=stuck).adj, 3)
+    assert ref_validate_regular(make_random_regular(12, 3, seed=stuck).adj.tolist(), 3)
 
 
 def test_union_raises_for_the_stuck_case_once_its_restarts_run_out():
@@ -311,7 +310,7 @@ def test_abcd_instance_structure(d, t):
     n = 4 * d * t
     o = make_abcd_instance(d, n)
     g = o.graph
-    assert validate_regular(g.adj, d)
+    assert ref_validate_regular(g.adj.tolist(), d)
     A, B, C, D = abcd_sets(d, n)
     assert o.deficits.tolist() == [1 if (v in A or v in D) else -1 for v in range(n)]
     # the deficit cut crosses exactly the n/2 A->B arcs
@@ -376,7 +375,7 @@ def test_stuck_instance_d3():
     o = make_single_flip_stuck_instance(3)
     assert isinstance(o, Orientation)
     assert o.graph.n == 24
-    assert validate_regular(o.graph.adj, 3)
+    assert ref_validate_regular(o.graph.adj.tolist(), 3)
     _, sizes = oriented_median_plus_flips(o, 2)
     assert sizes[0] == sizes[1] == 12
     assert sizes[2] == 20  # = OPT; the second flip undoes the damage

@@ -14,10 +14,8 @@ from localcut import (
     Orientation,
     RIGHT,
     RegularGraph,
-    boundary_size,
     complete_graph,
     cut_size,
-    deficit_partition,
     dicut_arcs,
     dicut_size,
     identity_labelling,
@@ -28,31 +26,34 @@ from localcut import (
     monochromatic_components,
     orient_clockwise,
     random_labelling,
-    validate_regular,
 )
 
 from conftest import oriented_graphs, peak_bytes, small_regular_graphs
 
 
 def test_validate_regular_accepts_cycle():
-    assert validate_regular([(1, 3), (0, 2), (1, 3), (0, 2)], 2)
+    assert RegularGraph([(1, 3), (0, 2), (1, 3), (0, 2)], d=2).m == 4
 
 
 def test_validate_regular_rejects_wrong_degree():
-    assert not validate_regular([(1, 2), (0,), (0,)], 2)
+    with pytest.raises(InvalidParameterError, match="d integers long"):
+        RegularGraph([(1, 2), (0,), (0,)], d=2)
 
 
 def test_validate_regular_rejects_self_loop():
-    assert not validate_regular([(0, 1), (0, 0)], 2)
+    with pytest.raises(InvalidParameterError, match="own neighbor"):
+        RegularGraph([(0, 1), (0, 0)], d=2)
 
 
 def test_validate_regular_rejects_asymmetry():
     # 1 lists 0 but 0 does not list 1
-    assert not validate_regular([(2, 3), (0, 2), (1, 3), (0, 2)], 2)
+    with pytest.raises(InvalidParameterError, match="not symmetric"):
+        RegularGraph([(2, 3), (0, 2), (1, 3), (0, 2)], d=2)
 
 
 def test_validate_regular_rejects_out_of_range():
-    assert not validate_regular([(1, 7), (0, 2), (1, 0)], 2)
+    with pytest.raises(InvalidParameterError, match="out of range"):
+        RegularGraph([(1, 7), (0, 2), (1, 0)], d=2)
 
 
 def test_regular_graph_rejects_duplicate_edge():
@@ -94,18 +95,13 @@ def test_orientation_degrees():
 def test_deficit_partition_directed_cycle():
     g = make_circulant(4, 2)
     o = orient_clockwise(g)
-    vplus, vminus, vzero = deficit_partition(o)
-    assert vplus == () and vminus == ()
-    assert vzero == (0, 1, 2, 3)
+    assert o.deficits.tolist() == [0] * 4
 
 
 def test_deficit_partition_clockwise_double_circulant():
     g = make_double_circulant(8, 3)
     o = orient_clockwise(g)
-    vplus, vminus, vzero = deficit_partition(o)
-    assert vplus == tuple(range(8))  # outer cycle
-    assert vminus == tuple(range(8, 16))  # inner cycle
-    assert vzero == ()
+    assert o.deficits.tolist() == [1] * 8 + [-1] * 8  # outer cycle, then inner
 
 
 @given(oriented_graphs())
@@ -248,7 +244,6 @@ def test_cut_basics():
     c = Cut([LEFT, RIGHT])
     assert c.left_vertices() == (0,)
     assert c.right_vertices() == (1,)
-    assert c.mirrored().sides.tolist() == [RIGHT, LEFT]
     with pytest.raises(InvalidParameterError):
         Cut([2])
 
@@ -294,7 +289,8 @@ def test_cut_from_left_set():
     assert set(c.sides.tolist()) <= {LEFT, RIGHT} and len(c.sides) == 4
 
 
-@pytest.mark.parametrize("left", [[0, 7, -2], [4], [-1], [0.5], [True], [2 ** 70], [[0, 1]]])
+@pytest.mark.parametrize("left", [[0, 7, -2], [4], [-1], [0.5], [True], [2 ** 70], [[0, 1]],
+                                  [None]])
 def test_cut_from_left_set_rejects_other_vertices(left):
     with pytest.raises(InvalidParameterError, match=r"integers in 0\.\.3"):
         Cut.from_left_set(4, left)
@@ -328,7 +324,7 @@ def test_dicut_and_mirror_partition_the_cut(o, seed):
     rng = random.Random(seed)
     c = Cut([rng.getrandbits(1) for _ in range(o.graph.n)])
     total = cut_size(o.graph, c)
-    assert dicut_size(o, c) + dicut_size(o, c.mirrored()) == total
+    assert dicut_size(o, c) + dicut_size(o, Cut(1 - c.sides)) == total
     mask = dicut_arcs(o, c)
     assert mask.shape == (o.graph.m,) and mask.dtype == bool
     assert np.count_nonzero(mask) == dicut_size(o, c)
@@ -373,21 +369,6 @@ def test_components_partition_vertices(g, seed):
     for comp in comps:
         side = {c.sides[v] for v in comp}
         assert len(side) == 1
-
-
-def test_boundary_size():
-    g = complete_graph(4)
-    assert boundary_size(g, [0]) == 3
-    assert boundary_size(g, [0, 1]) == 4
-    assert boundary_size(g, range(4)) == 0
-    assert boundary_size(g, []) == 0
-    assert boundary_size(g, [0, 0, 1]) == 4
-
-
-@pytest.mark.parametrize("vertices", [[0, 1, 99], [8], [-1], [0, -3], [1.0], [None]])
-def test_boundary_size_rejects_other_vertices(vertices):
-    with pytest.raises(InvalidParameterError, match=r"integers in 0\.\.7"):
-        boundary_size(make_circulant(8, 2), vertices)
 
 
 def test_identity_labelling():

@@ -32,7 +32,6 @@ from localcut import (
     RIGHT,
     RegularGraph,
     check_inequalities,
-    check_window_bound,
     check_window_bounds,
     complete_graph,
     cut_size,
@@ -59,9 +58,7 @@ from localcut import (
     sequential_flip_to_maximal,
     stable_vertices,
     unstable_flip_step,
-    validate_regular,
     window_bound,
-    window_edge_count,
     window_edge_counts,
 )
 from localcut import bounds, graphio, graphs, verify
@@ -69,29 +66,13 @@ from localcut.congest import RoundTrace, decode_id, encode_id
 from localcut.graphs import same_side_counts
 from localcut.verify import _even_n, _report, double_circulant_halves, verify_claim2
 
-from conftest import FaultyProgram, labelling_for, mutated_graph_files, text_source
+from conftest import (FaultyProgram, labelling_for, mutated_graph_files, ref_validate_regular,
+                      text_source)
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 
 # --- slow references -----------------------------------------------------------
-
-def ref_validate_regular(adjacency, d):
-    """Set-based check of a simple d-regular adjacency."""
-    adj = [tuple(nbrs) for nbrs in adjacency]
-    n = len(adj)
-    neighbor_sets = []
-    for u, nbrs in enumerate(adj):
-        seen = set(nbrs)
-        if len(nbrs) != d or len(seen) != d:
-            return False
-        if u in seen:
-            return False
-        if any(not (0 <= v < n) for v in nbrs):
-            return False
-        neighbor_sets.append(seen)
-    return all(u in neighbor_sets[v] for u in range(n) for v in neighbor_sets[u])
-
 
 def ref_cut_size(adj, sides):
     return sum(1 for u, nbrs in enumerate(adj) for v in nbrs
@@ -644,7 +625,7 @@ def test_cut_rules_match_loops(case):
     o, sides = case
     g, c = o.graph, Cut(sides)
     adj, arcs = g.adj.tolist(), [tuple(a) for a in o.arcs.tolist()]
-    assert validate_regular(g.adj, g.d) and ref_validate_regular(adj, g.d)
+    assert ref_validate_regular(adj, g.d)
     assert cut_size(g, c) == ref_cut_size(adj, sides)
     assert dicut_size(o, c) == len(ref_dicut_arcs(arcs, sides))
     assert row_set(o.arcs, dicut_arcs(o, c)) == ref_dicut_arcs(arcs, sides)
@@ -850,27 +831,13 @@ def test_programs_step_like_the_copying_references(width, chunk, ports, data):
 
 # --- sequential flips ------------------------------------------------------------------
 
-@given(graphs_with_sides(), st.sampled_from(["lowest", "highest", "middle"]))
+@given(graphs_with_sides(), st.sampled_from(["lowest", "highest"]))
 @settings(max_examples=100)
 def test_sequential_flip_matches_recounting_loop(case, policy):
     o, sides = case
     g = o.graph
-    choose = {"lowest": min, "highest": max,
-              "middle": lambda candidates: candidates[len(candidates) // 2]}[policy]
-    offered = {"fast": [], "ref": []}
-
-    def recording(key):
-        def pick(candidates):
-            offered[key].append(candidates)
-            return choose(candidates)
-        return pick
-
-    want = ref_sequential_flip(g.adj.tolist(), sides, recording("ref"))
-    assert sequential_flip_to_maximal(g, Cut(sides), recording("fast")).sides.tolist() == want
-    assert offered["fast"] == offered["ref"]
-    assert all(type(v) is int for candidates in offered["fast"] for v in candidates)
-    if policy != "middle":
-        assert sequential_flip_to_maximal(g, Cut(sides), policy).sides.tolist() == want
+    want = ref_sequential_flip(g.adj.tolist(), sides, {"lowest": min, "highest": max}[policy])
+    assert sequential_flip_to_maximal(g, Cut(sides), policy).sides.tolist() == want
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -898,7 +865,6 @@ def test_window_edge_counts_match_set_reference(d, extra):
         assert counts.tolist() == [ref_window_edge_count(adj, start, length)
                                    for length in range(g.n + 1)]
         assert window_edge_counts(g, start - g.n).tolist() == counts.tolist()
-        assert window_edge_count(g, start, start) == counts[start]
 
 
 def test_claim2_rows_match_scalar_checks_on_the_default_grid():
@@ -919,7 +885,6 @@ def test_claim2_rows_match_scalar_checks_on_the_default_grid():
                     rows.add((length, r))
                     want = ref_window_edge_count(adj, margin, length - 2 * margin)
                     bound = window_bound(d, length, r)
-                    assert check_window_bound(g, 0, length, r) == (count, bound, holds)
                     assert (count, holds) == (want, Fraction(want) >= bound)
             assert rows == grid
             cases += len(grid)
@@ -1206,7 +1171,6 @@ def damaged_adjacencies(draw):
 def test_validation_matches_set_reference(case):
     adj, d = case
     valid = ref_validate_regular(adj, d)
-    assert validate_regular(adj, d) is valid
     if valid:
         assert RegularGraph(adj, d=d).adj.tolist() == [sorted(r) for r in adj]
     else:
@@ -1270,7 +1234,6 @@ def test_from_edges_matches_set_reference(case):
     ([(2, 3), (0, 2), (1, 3), (0, 2)], "not symmetric"),
 ])
 def test_each_adjacency_defect_is_rejected(adjacency, defect):
-    assert not validate_regular(adjacency, 2)
     assert not ref_validate_regular(adjacency, 2)
     with pytest.raises(InvalidParameterError, match=defect):
         RegularGraph(adjacency)
