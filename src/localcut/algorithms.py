@@ -30,11 +30,10 @@ def median_cut(g: RegularGraph, lab: Labelling) -> Cut:
         raise UnsupportedDegreeError(f"median rule needs odd degree, got d={g.d}")
     if lab.n != g.n:
         raise InvalidParameterError("labelling size does not match graph")
-    ids = lab.id_array()
-    nbr = ids[g.adj]
+    nbr = lab.ids[g.adj]
     nbr.sort(axis=1)  # in place: no second n*d copy
     median = nbr[:, g.d // 2]
-    return Cut(np.where(median > ids, LEFT, RIGHT))
+    return Cut(np.where(median > lab.ids, LEFT, RIGHT))
 
 
 def oriented_median_cut(o: Orientation) -> Cut:

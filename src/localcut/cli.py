@@ -236,6 +236,8 @@ def cmd_oracle(args) -> int:
             opt, witness = max_dicut_exact(obj)
             record["witness_left"] = list(witness.left_vertices())
         record["problem"] = "maxdicut"
+    elif args.all_witnesses:
+        raise InvalidParameterError("--all-witnesses needs a directed graph file")
     else:
         opt, witness = max_cut_exact(g)
         record["witness_left"] = list(witness.left_vertices())

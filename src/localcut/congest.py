@@ -100,7 +100,7 @@ def run(program: NodeProgram, g: RegularGraph, lab: Labelling,
     # lands in slot v*d + q with adj[v, q] = u: the rank of key v*n + u.
     rows = np.repeat(np.arange(n, dtype=np.int64), d)
     deliver = np.searchsorted(rows * n + g.adj.ravel(), g.adj.ravel() * n + rows)
-    states = [program.init(own_id, d, d) for own_id in lab.ids]
+    states = [program.init(own_id, d, d) for own_id in lab.ids.tolist()]
     outputs: list[Optional[int]] = [None] * n
     step = program.step
     inboxes: list[tuple[Optional[str], ...]] = [(None,) * d] * n

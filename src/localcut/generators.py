@@ -277,7 +277,7 @@ def make_id_orientation(g: RegularGraph, lab: Labelling) -> Orientation:
     """Orient every edge from the lower ID to the higher ID."""
     if lab.n != g.n:
         raise InvalidParameterError("labelling size does not match graph")
-    ids, e = lab.id_array(), g.edges()
+    ids, e = lab.ids, g.edges()
     forward = ids[e[:, 0]] < ids[e[:, 1]]
     return Orientation(g, np.where(forward[:, None], e, e[:, ::-1]))
 
@@ -457,7 +457,7 @@ def make_extremal_labelling(g: RegularGraph) -> Labelling:
     """Labelling of a double circulant whose median cut is as small as known.
 
     Target: N/2 + (d-2)^2 + 1 cut edges, N the vertex count. IDs increasing
-    clockwise (outer 1..n, then inner n+1..2n) achieve the target: away from
+    clockwise (outer 1..n, then inner n+1..2n) cut exactly that many: away from
     the wrap-around seam every outer vertex sees its median neighbor above
     itself and every inner vertex below, so only the matching and the two
     seams cross. Raises InvariantError if the pattern ever misses it.
@@ -469,9 +469,9 @@ def make_extremal_labelling(g: RegularGraph) -> Labelling:
         raise InvalidParameterError("extremal labelling targets double circulants")
     _, d = g.family_params
     target = g.n // 2 + (d - 2) ** 2 + 1
-    pattern = Labelling(range(1, g.n + 1), origin="clockwise-sequential")
+    pattern = Labelling(np.arange(1, g.n + 1), origin="clockwise-sequential")
     size = cut_size(g, median_cut(g, pattern))
-    if size > target:
+    if size != target:
         raise InvariantError(
             f"clockwise-sequential IDs cut {size} edges of {g!r}, target {target}"
         )

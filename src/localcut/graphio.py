@@ -62,11 +62,11 @@ def _write_rows(target: TextIO, rows: int, numbers) -> None:
         target.write(fmt % tuple(numbers(a, b)))
 
 
-def _id_rows(ids: tuple, a: int, b: int) -> list[int]:
+def _id_rows(ids: np.ndarray, a: int, b: int) -> list[int]:
     """v, ids[v] for v in a..b-1, flat."""
     flat = [0] * (2 * (b - a))
     flat[0::2] = range(a, b)
-    flat[1::2] = ids[a:b]
+    flat[1::2] = ids[a:b].tolist()
     return flat
 
 

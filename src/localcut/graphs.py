@@ -9,14 +9,14 @@ rows of `edges()` or the rows of `arcs` (`dicut_arcs` is one).
 different sides and `cut_size` counts them;
 `same_side_counts` is the per-vertex count the local rules share. A
 disjoint union lays graphs side by side, each on a run of vertices that
-`component_offsets` locates. Vertices are 0..n-1 throughout; IDs (distinct positive integers, kept as
-Python ints) live in a separate Labelling so a graph can carry many.
+`component_offsets` locates. Vertices are 0..n-1 throughout; IDs (distinct
+positive integers) live in a separate Labelling so a graph can carry many.
 
-Construction checks run at array speed. A Labelling given an integer
-array decides distinctness and bounds from one sort of it; other input is
-checked per ID. `RegularGraph.from_edges` skips the symmetry sort that
-`RegularGraph(adjacency)` runs: it lays out both directions of every edge
-after checking every degree, so its adjacency is symmetric by
+Construction checks run at array speed. A Labelling converts input other
+than an integer array per ID, decides distinctness and bounds from one sort
+and keeps one read-only array. `RegularGraph.from_edges` skips the symmetry
+sort that `RegularGraph(adjacency)` runs: it lays out both directions of
+every edge after checking every degree, so its adjacency is symmetric by
 construction, and loops or repeated edges still fail the row checks.
 """
 
@@ -262,62 +262,53 @@ class Orientation:
 class Labelling:
     """Injective assignment of positive integer IDs to vertices.
 
-    `ids` is a tuple of Python ints, since IDs may exceed 64 bits. Every
-    ID must be a Python or numpy integer other than a bool; anything else
+    `ids` is the labelling's own read-only array: int64 when every ID fits,
+    else an object array of Python ints (IDs may exceed 64 bits). Every ID
+    must be a Python or numpy integer other than a bool; anything else
     (floats, strings) raises InvalidParameterError rather than being
     truncated. Default ID space is [1, n^3], the usual polynomial ID
     assumption. `origin` records how the labelling was produced (pattern
     name, seed); purely informational.
     """
 
-    def __init__(self, ids: Sequence[int], id_bound: Optional[int] = None,
+    def __init__(self, ids: Sequence[int] | np.ndarray, id_bound: Optional[int] = None,
                  origin: Optional[str] = None):
-        if isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu":
-            # an integer array: one sort decides distinctness, its ends the
-            # bounds, and the sorted copy is gone before the tuple is built
-            ordered = np.sort(ids)
-            distinct = not np.any(ordered[1:] == ordered[:-1])
-            low, high = ordered[[0, -1]].tolist() if len(ordered) else (0, 0)
-            del ordered
-            ids = tuple(ids.tolist())
-        else:
+        if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu"):
             # read twice below: copy a one-shot iterable, but not a list
-            raw = ids if isinstance(ids, (list, tuple)) else tuple(ids)
+            raw = ids if isinstance(ids, (list, tuple)) else list(ids)
             try:
-                ids = tuple(map(operator.index, raw))
+                ids = np.array(list(map(operator.index, raw)), dtype=object)
             except TypeError:
                 raise InvalidParameterError("IDs must be integers") from None
-            if bool in set(map(type, raw)):
+            if bool in map(type, raw):
                 raise InvalidParameterError("IDs must be integers, not bools")
-            distinct = len(set(ids)) == len(ids)
-            low, high = (min(ids), max(ids)) if ids else (0, 0)
+        # one sort decides distinctness, its ends the bounds, and the sorted
+        # copy is gone before the kept one is made
+        ordered = np.sort(ids)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise InvalidParameterError("IDs must be distinct")
+        low, high = ordered[[0, -1]].tolist() if len(ordered) else (0, 0)
+        del ordered
         n = len(ids)
         if id_bound is None:
             id_bound = n ** 3
-        if not distinct:
-            raise InvalidParameterError("IDs must be distinct")
         if n and (low < 1 or high > id_bound):
             raise InvalidParameterError(
                 f"IDs must lie in [1, {id_bound}]"
             )
-        self.ids = ids
+        self.ids = _read_only(ids.astype(np.int64 if high <= np.iinfo(np.int64).max else object))
         self.n = n
         self.id_bound = id_bound
         self.max_id = high
         self.origin = origin
 
-    def id_array(self) -> np.ndarray:
-        """The IDs as int64, or as an object array of Python ints past 2^63 - 1."""
-        fits = self.max_id <= np.iinfo(np.int64).max
-        return np.array(self.ids, dtype=np.int64 if fits else object)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Labelling):
             return NotImplemented
-        return self.ids == other.ids
+        return np.array_equal(self.ids, other.ids)
 
     def __hash__(self):
-        return hash(self.ids)
+        return hash(tuple(self.ids.tolist()))
 
     def __repr__(self) -> str:
         return f"Labelling(n={self.n}, max_id={self.max_id})"
@@ -325,7 +316,7 @@ class Labelling:
 
 def identity_labelling(n: int) -> Labelling:
     """IDs 1..n in vertex order."""
-    return Labelling(range(1, n + 1), origin="identity")
+    return Labelling(np.arange(1, n + 1), origin="identity")
 
 
 def _random_ids(n: int, seed: int, id_bound: int) -> list[int] | np.ndarray:

@@ -153,8 +153,8 @@ def _median_cut_sizes(blocks: list[np.ndarray], seeds: list[int], d: int
     ns = [len(b) for b in blocks]
     shift = max(ns) ** 3 + 1  # random_labelling's IDs lie in [1, n^3]
     g = _union(blocks, d)
-    lab = Labelling([x + k * shift for k, (n, s) in enumerate(zip(ns, seeds))
-                     for x in _random_ids(n, s, n ** 3)], id_bound=len(ns) * shift)
+    ids = [np.add(_random_ids(n, s, n ** 3), k * shift) for k, (n, s) in enumerate(zip(ns, seeds))]
+    lab = Labelling(np.concatenate(ids), id_bound=len(ns) * shift)
     sizes = _per_case(cut_edges(g, median_cut(g, lab)), component_offsets(ns) * d // 2)
     # the floor n/2 + (d^2 - 1)/4, times 4
     low = np.flatnonzero(4 * sizes < 2 * np.array(ns) + d * d - 1)

@@ -76,7 +76,7 @@ def test_median_memory_is_one_gather():
     g, lab = make_random_regular(n, d, seed=1), random_labelling(n, seed=2)
     out = []
     assert peak_bytes(lambda: out.append(median_cut(g, lab))) < 1.6 * n * d * 8
-    ids = lab.id_array()
+    ids = lab.ids
     median = np.sort(ids[g.adj], axis=1)[:, d // 2]
     assert np.array_equal(out[0].sides, np.where(median > ids, LEFT, RIGHT))
 

@@ -352,6 +352,7 @@ EXIT_CODES = {
     "oracle-directory": (["oracle", "--graph", "{tmp}"], 2),
     "oracle-negative-header": (["oracle", "--graph", "{bad_header}"], 2),
     "oracle-over-budget": (["oracle", "--graph", "{random32}"], 3),
+    "oracle-all-witnesses-undirected": (["oracle", "--graph", "{cnd}", "--all-witnesses"], 2),
 }
 
 

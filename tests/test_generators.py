@@ -352,6 +352,13 @@ def test_extremal_labelling_hits_known_values():
             assert cut_size(g, median_cut(g, lab)) == half + (d - 2) ** 2 + 1
 
 
+@pytest.mark.parametrize("d,half", [(d, half) for d in (3, 5, 7)
+                                    for half in range(2 * (d - 1), 41, 2)])
+def test_extremal_labelling_cuts_exactly_the_target(d, half):
+    g = make_double_circulant(half, d)
+    assert cut_size(g, median_cut(g, make_extremal_labelling(g))) == half + (d - 2) ** 2 + 1
+
+
 def test_extremal_labelling_needs_double_circulant():
     with pytest.raises(InvalidParameterError):
         make_extremal_labelling(complete_graph(4))
@@ -360,6 +367,13 @@ def test_extremal_labelling_needs_double_circulant():
 def test_extremal_labelling_miss_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr(graphs_mod, "cut_size", lambda g, c: g.m)
     with pytest.raises(InvariantError, match="target 8"):
+        make_extremal_labelling(make_double_circulant(6, 3))
+
+
+def test_extremal_labelling_below_target_is_an_invariant_error(monkeypatch):
+    # the target is exact, so a smaller cut is a miss as well
+    monkeypatch.setattr(graphs_mod, "cut_size", lambda g, c: 7)
+    with pytest.raises(InvariantError, match="cut 7 edges"):
         make_extremal_labelling(make_double_circulant(6, 3))
 
 

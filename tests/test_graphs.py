@@ -141,9 +141,9 @@ def test_labelling_rejects_non_integer_ids(ids):
 
 
 def test_labelling_takes_python_and_numpy_integers():
-    assert Labelling(np.array([3, 1, 2], dtype=np.uint8)).ids == (3, 1, 2)
-    assert Labelling([np.int64(2), 1, np.int32(3)]).ids == (2, 1, 3)
-    assert all(type(x) is int for x in Labelling(np.arange(1, 4)).ids)
+    assert Labelling(np.array([3, 1, 2], dtype=np.uint8)).ids.tolist() == [3, 1, 2]
+    assert Labelling([np.int64(2), 1, np.int32(3)]).ids.tolist() == [2, 1, 3]
+    assert all(type(x) is int for x in Labelling(np.arange(1, 4)).ids.tolist())
     assert Labelling([2 ** 70, 1], id_bound=2 ** 71).max_id == 2 ** 70
 
 
@@ -160,8 +160,9 @@ def labelling_outcome(ids, **kw):
         lab = Labelling(ids, **kw)
     except InvalidParameterError as e:
         return str(e)
-    assert all(type(x) is int for x in lab.ids)
-    return lab.ids, lab.max_id, lab.id_bound
+    ids = lab.ids.tolist()
+    assert all(type(x) is int for x in ids)
+    return ids, lab.max_id, lab.id_bound
 
 
 @pytest.mark.parametrize("ids,kw", [
@@ -190,15 +191,35 @@ def test_labelling_array_path_matches_list_path(ids, kw):
     assert labelling_outcome(ids, **kw) == labelling_outcome(list(ids), **kw)
 
 
-def test_labelling_array_memory_is_the_tuple():
-    # one sorted copy (8 bytes per ID), gone before the tuple and its ints
-    # (40) and the list tolist() builds (8) exist; a set of the IDs or a
-    # tuple of numpy scalars on the way would take about twice the bound
+def test_labelling_array_memory_is_one_array():
+    # the kept int64 copy (8 bytes per ID) and one bool per ID; the sorted
+    # copy (8) is gone before the kept one is made, and keeping both, or a
+    # tuple of Python ints (40 and more), would break the bound
     n = 10 ** 5
     ids = np.random.default_rng(1).choice(n ** 3, n, replace=False) + 1
     out = []
-    assert peak_bytes(lambda: out.append(Labelling(ids))) < 64 * n
-    assert out[0].ids == tuple(ids.tolist())
+    assert peak_bytes(lambda: out.append(Labelling(ids))) < 16 * n
+    assert out[0].ids.tolist() == ids.tolist()
+
+
+def test_labelling_ids_are_its_own_read_only_array():
+    ids = np.arange(1, 6)
+    lab = Labelling(ids)
+    with pytest.raises(ValueError):
+        lab.ids[0] = 1
+    ids[0] = 6
+    assert lab.ids.tolist() == [1, 2, 3, 4, 5]
+    same = Labelling(range(1, 6))  # the per-ID path
+    assert lab == same and hash(lab) == hash(same) and lab != Labelling(ids)
+
+
+@pytest.mark.parametrize("top,dtype", [(2 ** 63 - 1, np.int64), (2 ** 63, object)])
+def test_labelling_ids_are_int64_while_they_fit(top, dtype):
+    # the per-ID path and the array path give equal labellings, equal hashes
+    labs = [Labelling(ids, id_bound=2 ** 64) for ids in ([1, top], np.array([1, top], dtype=np.uint64))]
+    for lab in labs:
+        assert lab.ids.dtype == dtype and lab.ids.tolist() == [1, top]
+    assert labs[0] == labs[1] and hash(labs[0]) == hash(labs[1])
 
 
 def reference_sample(n, seed, id_bound):
@@ -209,20 +230,20 @@ def reference_sample(n, seed, id_bound):
         j = rng.getrandbits(bits)
         if j < id_bound and j + 1 not in ids:
             ids.append(j + 1)
-    return tuple(ids)
+    return ids
 
 
 @pytest.mark.parametrize("id_bound", [2 ** 63, 2 ** 63 + 1, 2 ** 64 + 3, 10 ** 30])
 @pytest.mark.parametrize("n", [1, 5, 60])
 def test_random_labelling_past_int64(n, id_bound):
     lab = random_labelling(n, seed=1, id_bound=id_bound)
-    assert lab.ids == reference_sample(n, 1, id_bound)
+    assert lab.ids.tolist() == reference_sample(n, 1, id_bound)
     assert lab.id_bound == id_bound
 
 
 def test_random_labelling_takes_a_bound_of_n():
-    assert sorted(random_labelling(50, seed=1, id_bound=50).ids) == list(range(1, 51))
-    assert random_labelling(0, seed=1).ids == ()
+    assert sorted(random_labelling(50, seed=1, id_bound=50).ids.tolist()) == list(range(1, 51))
+    assert random_labelling(0, seed=1).ids.tolist() == []
 
 
 @pytest.mark.parametrize("n,id_bound", [(5, 3), (-1, None), (-1, 10), (1, 0), (100, 99)])
@@ -373,7 +394,7 @@ def test_components_partition_vertices(g, seed):
 
 def test_identity_labelling():
     lab = identity_labelling(5)
-    assert lab.ids == (1, 2, 3, 4, 5)
+    assert lab.ids.tolist() == [1, 2, 3, 4, 5]
     assert lab.max_id == 5
 
 

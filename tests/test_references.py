@@ -242,7 +242,7 @@ def ref_run(program, g, lab, bit_limit=None, max_rounds=None):
     n, d = g.n, g.d
     adj = g.adj.tolist()
     deliver = [v * d + adj[v].index(u) for u in range(n) for v in adj[u]]
-    states = [program.init(own_id, d, d) for own_id in lab.ids]
+    states = [program.init(own_id, d, d) for own_id in lab.ids.tolist()]
     outputs = [None] * n
     inbox = [None] * (n * d)
     max_bits = 0
@@ -650,7 +650,7 @@ def test_median_and_deficit_rules_match_loops(case, seed):
         assert oriented_median_cut(o).sides.tolist() == want
     if g.d % 2:
         lab = labelling_for(g.n, seed)
-        assert median_cut(g, lab).sides.tolist() == ref_median_sides(adj, lab.ids)
+        assert median_cut(g, lab).sides.tolist() == ref_median_sides(adj, lab.ids.tolist())
 
 
 @pytest.mark.parametrize("low", [2 ** 63 - 8, 2 ** 63, 2 ** 64, 2 ** 200])
@@ -661,7 +661,7 @@ def test_median_with_ids_beyond_int64(low):
     rng = random.Random(low)
     ids = [low + x for x in rng.sample(range(1000), g.n)]
     lab = Labelling(ids, id_bound=2 ** 201)
-    assert lab.id_array().dtype == (object if lab.max_id >= 2 ** 63 else "int64")
+    assert lab.ids.dtype == (object if lab.max_id >= 2 ** 63 else "int64")
     want = ref_median_sides(g.adj.tolist(), ids)
     assert median_cut(g, lab).sides.tolist() == want
     arcs = make_id_orientation(g, lab).arcs.tolist()
@@ -759,7 +759,7 @@ def test_serialized_median_chunks_of_a_five_bit_width(chunk):
 def test_flip_program_matches_reference_engine(case, seed, rounds):
     o, sides = case
     lab = labelling_for(o.graph.n, seed)
-    side_of = dict(zip(lab.ids, sides)).__getitem__
+    side_of = dict(zip(lab.ids.tolist(), sides)).__getitem__
     want = simulated(ref_run, RefFlipProgram(side_of, rounds), o.graph, lab, bit_limit=1)
     assert want[0] == ref_flip_rounds(o.graph.adj.tolist(), sides, rounds)
     assert simulated(run, FlipProgram(side_of, rounds), o.graph, lab,
@@ -925,8 +925,8 @@ def id_draws(draw):
 @settings(max_examples=300)
 def test_random_ids_are_the_stdlib_sample(case):
     n, seed, id_bound = case
-    want = tuple(random.Random(seed).sample(range(1, id_bound + 1), n))
-    assert random_labelling(n, seed, id_bound).ids == want
+    want = random.Random(seed).sample(range(1, id_bound + 1), n)
+    assert random_labelling(n, seed, id_bound).ids.tolist() == want
 
 
 @pytest.mark.parametrize("n,id_bound", [(100, 10 ** 6), (500, 2 ** 40), (300, 1300)])
@@ -936,8 +936,8 @@ def test_random_ids_continue_across_short_batches(monkeypatch, n, id_bound):
     # threshold 1045 at n=300, so many draws repeat)
     draws = graphs._draws
     monkeypatch.setattr(graphs, "_draws", lambda rng, bits, k: draws(rng, bits, min(k, 7)))
-    want = tuple(random.Random(1).sample(range(1, id_bound + 1), n))
-    assert random_labelling(n, 1, id_bound).ids == want
+    want = random.Random(1).sample(range(1, id_bound + 1), n)
+    assert random_labelling(n, 1, id_bound).ids.tolist() == want
 
 
 # --- union corpora ----------------------------------------------------------------
@@ -1005,7 +1005,7 @@ def test_union_replays_every_case_restart(n, d):
 
 def faulty_median_cut(g, lab):
     """Only the local minima of the IDs go LEFT."""
-    ids = lab.id_array()
+    ids = lab.ids
     return Cut(np.where(ids[g.adj].min(axis=1) > ids, LEFT, RIGHT))
 
 
@@ -1095,7 +1095,7 @@ def parse_outcome(parser, text, universal_newlines):
         return "error", str(exc)
     g = obj.graph if isinstance(obj, Orientation) else obj
     arcs = obj.arcs.tolist() if isinstance(obj, Orientation) else None
-    return type(obj), g.adj.tolist(), arcs, None if lab is None else lab.ids
+    return type(obj), g.adj.tolist(), arcs, None if lab is None else lab.ids.tolist()
 
 
 # Parse chunk sizes: the default; one line per chunk, so that chunks start
