@@ -131,4 +131,4 @@ def sequential_flip_to_maximal(g: RegularGraph, c: Cut, order: str = "lowest") -
 
 def random_cut(g: RegularGraph, seed: int) -> Cut:
     """Fair coin per vertex."""
-    return Cut(coin_flips(random.Random(seed), g.n))
+    return Cut(coin_flips([random.Random(seed)], [g.n]))

@@ -155,6 +155,13 @@ def _pairing_round(ns: Sequence[int], d: int, rngs: Sequence[random.Random],
     dozen at n = 10^5, d = 5) are then shuffled and re-paired in Python.
     Returns the edge keys u*n+v (u < v) of every case that got through, and
     the indices of the cases whose leftovers got stuck.
+
+    Many cases are ordered by one argsort of every key, then a stable sort by
+    case index, a radix sort for the small unsigned dtype the index gets.
+    This is the order np.lexsort((key, case)) gives: the stub index in a
+    key's low bits makes the keys of one case distinct, so the first sort
+    orders each case's stubs completely, and the stable second sort keeps
+    that order while it separates the cases, whose keys alone may tie.
     """
     nds = [k * d for k in ns]
     draws = np.frombuffer(b"".join(
@@ -169,7 +176,9 @@ def _pairing_round(ns: Sequence[int], d: int, rngs: Sequence[random.Random],
     else:
         local = np.arange(int(starts[-1])) - np.repeat(starts[:-1], nds)
         high = draws & ~np.repeat(np.array(low, dtype=np.uint64), nds)
-        order = np.lexsort((high | local.astype(np.uint64), np.repeat(np.arange(len(ns)), nds)))
+        case = np.repeat(np.arange(len(ns), dtype=np.min_scalar_type(len(ns))), nds)
+        order = np.argsort(high | local.astype(np.uint64))
+        order = order[np.argsort(case[order], kind="stable")]
         vertex = (np.repeat(np.asarray(firsts, dtype=np.int64), nds) + local // max(d, 1))[order]
     pairs = vertex.reshape(-1, 2)
     lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
@@ -287,8 +296,7 @@ def _coin_orientation(g: RegularGraph, ms: Sequence[int], seeds: Sequence[int]
     """Orient edges() in consecutive blocks of ms[k] rows: block k takes a fair
     coin per edge (u, v) from random.Random(seeds[k]); 1 keeps u -> v."""
     e = g.edges()
-    forward = np.concatenate(
-        [coin_flips(random.Random(seed), m) for m, seed in zip(ms, seeds)]) == 1
+    forward = coin_flips([random.Random(seed) for seed in seeds], ms) == 1
     return Orientation(g, np.where(forward[:, None], e, e[:, ::-1]))
 
 

@@ -8,7 +8,9 @@ Format:
     n lines: v id
 
 Every number is a plain run of ASCII digits ("+3" or "0_0" is rejected),
-and n is below 2^32. Blank lines are skipped; whitespace is what
+and n is below 2^32. IDs need only be distinct and positive: the format
+carries no ID bound, so a read labelling's id_bound is the larger of n^3
+and its largest ID. Blank lines are skipped; whitespace is what
 str.split() takes it to be. Orientations round-trip as directed files;
 generator family metadata does not survive a round trip (the format
 carries structure only).
@@ -251,7 +253,11 @@ def read_graph(source: Union[str, TextIO]) -> tuple[GraphLike, Optional[Labellin
         raise InvalidParameterError("graph file is not ASCII text")
     n, d, directed, pairs, ids = _parse_bytes(text) or _parse_lines(text)
     del text
-    lab = None if ids is None else Labelling(ids)
+    lab = None
+    if ids is not None:
+        # the format carries no ID bound: IDs need only be distinct and positive
+        top = int(ids.max()) if isinstance(ids, np.ndarray) else max(ids)
+        lab = Labelling(ids, id_bound=max(n ** 3, top))
     del ids
     graph = RegularGraph.from_edges(n, pairs, d=d)
     if directed:

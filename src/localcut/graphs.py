@@ -277,11 +277,16 @@ class Labelling:
             # read twice below: copy a one-shot iterable, but not a list
             raw = ids if isinstance(ids, (list, tuple)) else list(ids)
             try:
-                ids = np.array(list(map(operator.index, raw)), dtype=object)
+                ints = list(map(operator.index, raw))
             except TypeError:
                 raise InvalidParameterError("IDs must be integers") from None
             if bool in map(type, raw):
                 raise InvalidParameterError("IDs must be integers, not bools")
+            # int64 sorts at array speed; only IDs past 64 bits sort as objects
+            try:
+                ids = np.array(ints, dtype=np.int64)
+            except OverflowError:
+                ids = np.array(ints, dtype=object)
         # one sort decides distinctness, its ends the bounds, and the sorted
         # copy is gone before the kept one is made
         ordered = np.sort(ids)
@@ -368,8 +373,8 @@ def _draws(rng: random.Random, bits: int, k: int) -> np.ndarray:
     """k calls to rng.getrandbits(bits), 1 <= bits <= 63, from one
     getrandbits(32wk) call, w = ceil(bits / 32): each call takes w 32-bit
     generator outputs, packed little-endian, and shifts the top one right
-    by 32w - bits; coin_flips is the case bits = 1, kept apart for its many
-    short calls. uint32 for one word, int64 for two."""
+    by 32w - bits; coin_flips is the case bits = 1 across many generators.
+    uint32 for one word, int64 for two."""
     w = -(-bits // 32)
     words = rng.getrandbits(32 * w * k).to_bytes(4 * w * k, "little")
     words = np.frombuffer(words, dtype="<u4").reshape(k, w)
@@ -395,11 +400,14 @@ def random_labelling(n: int, seed: int, id_bound: Optional[int] = None) -> Label
                      origin=f"random(seed={seed})")
 
 
-def coin_flips(rng: random.Random, k: int) -> np.ndarray:
-    """The bits of k calls to rng.getrandbits(1), from one getrandbits(32k):
-    it packs k 32-bit generator outputs little-endian, and getrandbits(1) is
-    the top bit of one output."""
-    words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+def coin_flips(rngs: Sequence[random.Random], counts: Sequence[int]) -> np.ndarray:
+    """The bits of counts[k] calls to rngs[k].getrandbits(1), generator after
+    generator, as one int8 array. Each generator makes one getrandbits(32c)
+    call, which packs c 32-bit outputs little-endian, and getrandbits(1) is
+    the top bit of one output: the bytes of all the calls are joined and
+    their top bits decoded at once."""
+    words = b"".join(rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+                     for rng, k in zip(rngs, counts))
     return (np.frombuffer(words, dtype="<u4") >> 31).astype(np.int8)
 
 

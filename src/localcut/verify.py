@@ -15,6 +15,11 @@ make_random_regular_union builds the graphs of many cases in one batched
 pairing pass, each from its own seed, and per-case counts are cumulative
 sums cut at the component offsets. Each suite still draws its cases from
 its seed in the same order, so its report equals a per-case loop's.
+
+folklore's random cuts are decoded a block of seeds at a time: coin_flips
+turns one generator per seed into one column of a vertices-by-trials side
+matrix, and one gather per edge endpoint counts every trial's cut, each
+equal to cut_size(g, random_cut(g, seed)).
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from . import bounds
 from .algorithms import (
     median_cut,
     oriented_median_cut,
-    random_cut,
     stable_vertices,
     unstable_flip_step,
 )
@@ -51,9 +55,9 @@ from .graphs import (
     Orientation,
     RegularGraph,
     _random_ids,
+    coin_flips,
     component_offsets,
     cut_edges,
-    cut_size,
     dicut_arcs,
     identity_labelling,
     is_bipartite,
@@ -66,6 +70,9 @@ _MAX_REPORTED = 20
 # int64 arrays stays within 128 KiB: a union of a degree's whole corpus
 # raised the peak memory of `verify --suite all` from 37.6 MB to 44 MB.
 _UNION_STUBS = 1 << 14
+# Coin flips per folklore block, one 32-bit word each: the block's words,
+# side matrix and per-edge gathers stay near 1 MB (65 trials at n = 1000).
+_COINS = 1 << 16
 
 
 def _report(suite: str, cases: int, violations: list[str], started: float,
@@ -465,9 +472,19 @@ def verify_folklore(seed: int = 0, trials: int = 10 ** 4,
     """Random cuts average m/2; almost none fall below 0.45m."""
     started = time.monotonic()
     g = make_random_regular(n, d, seed=seed)
-    sizes = [cut_size(g, random_cut(g, seed=seed + 1 + i)) for i in range(trials)]
-    total, m = sum(sizes), g.m
-    below = sum(1 for s in sizes if 20 * s < 9 * m)  # s < 0.45m
+    u, v = g.edges().T
+    total, below, m = 0, 0, g.m
+    block, stop = max(1, _COINS // n), seed + 1 + trials
+    for first in range(seed + 1, stop, block):
+        seeds = range(first, min(first + block, stop))
+        # column j is random_cut(g, seeds[j]).sides
+        sides = coin_flips([random.Random(s) for s in seeds], [n] * len(seeds))
+        sides = np.ascontiguousarray(sides.reshape(len(seeds), n).T)
+        cut = sides[u]
+        cut ^= sides[v]
+        sizes = cut.sum(axis=0, dtype=np.int64)
+        total += int(sizes.sum())
+        below += int(np.count_nonzero(20 * sizes < 9 * m))  # s < 0.45m
     violations = []
     if 100 * abs(2 * total - trials * m) > trials * m:  # mean off m/2 by > 1%
         violations.append(f"mean {total / trials} strays more than 1% from {m / 2}")

@@ -39,7 +39,8 @@ from localcut import (
 )
 import localcut
 from localcut import generators as generators_mod, graphs as graphs_mod
-from localcut.verify import verify_constructions
+from localcut.graphs import component_offsets
+from localcut.verify import _draw_case, _oriented_unions, verify_constructions
 from localcut.generators import _pairing_round, _realize_bipartite
 
 from conftest import peak_bytes, ref_validate_regular
@@ -244,6 +245,36 @@ def test_union_edges_are_the_cases_edges_in_case_order():
                                   for u, v in p.graph.edges().tolist()]
     assert o.arcs.tolist() == [[u + off, v + off] for off, p in zip([0, 6, 10], parts)
                                for u, v in p.arcs.tolist()]
+
+
+def test_union_past_a_16_bit_case_index_equals_its_lone_graphs():
+    # a 16-bit case index would merge case k with case k + 2^16 (or, signed,
+    # k + 2^15) in the sort, and their stubs would pair across components
+    cases = 2 ** 16 + 1000
+    g = make_random_regular_union([4] * cases, 1, range(cases))
+    for k in [0, 999, 2 ** 15, 2 ** 16 - 1, 2 ** 16, cases - 1] + random.Random(1).sample(
+            range(cases), 194):
+        lone = make_random_regular(4, 1, seed=k)
+        assert g.adj[4 * k:4 * k + 4].tolist() == (lone.adj + 4 * k).tolist(), k
+
+
+def test_oriented_ratio_floor_corpus_equals_its_lone_orientations():
+    # the 500 cases of verify_oriented_ratio's floor corpus at seed 0, some
+    # of them restarted: each union's components are the lone orientations
+    rng = random.Random(0)
+    cases = [_draw_case(rng, (3, 5, 7)[i % 3], 100) for i in range(500)]
+    assert any(first_attempt_stuck(n, d, gseed) for d, n, gseed, _ in cases)
+    seen = []
+    for idx, o in _oriented_unions(cases):
+        lone = [make_random_orientation(make_random_regular(n, d, seed=gseed), seed=oseed)
+                for d, n, gseed, oseed in (cases[i] for i in idx)]
+        offsets = component_offsets([p.graph.n for p in lone]).tolist()
+        assert o.graph.adj.tolist() == [[v + off for v in row] for p, off in zip(lone, offsets)
+                                        for row in p.graph.adj.tolist()]
+        assert o.arcs.tolist() == [[u + off, v + off] for p, off in zip(lone, offsets)
+                                   for u, v in p.arcs.tolist()]
+        seen += idx
+    assert sorted(seen) == list(range(500))
 
 
 def test_random_regular_leaves_numpy_random_unimported():

@@ -71,6 +71,22 @@ def test_file_roundtrip(tmp_path):
     assert lab.ids.tolist() == list(range(1, g.n + 1))
 
 
+@pytest.mark.parametrize("id_bound,by_lines", [(2 ** 50, False), (2 ** 70, True)])
+def test_ids_above_n_cubed_roundtrip(id_bound, by_lines):
+    # the format carries no ID bound: 2^50 IDs (16 digits) take the byte
+    # parser, 2^70 IDs (22 digits) the line parser
+    g = make_random_regular(2000, 5, seed=3)
+    lab = random_labelling(2000, seed=5, id_bound=id_bound)
+    o = make_id_orientation(g, lab)
+    text = graph_to_text(o, lab)
+    with mock.patch.object(graphio, "_parse_lines", wraps=graphio._parse_lines) as lines:
+        back, lab2 = read_graph(io.StringIO(text))
+    assert lines.called == by_lines
+    assert lab.max_id > g.n ** 3
+    assert lab2 == lab and lab2.id_bound == lab.max_id
+    assert back == o and graph_to_text(back, lab2) == text
+
+
 def test_header_is_frozen():
     g = make_double_circulant(12, 5)
     text = graph_to_text(g)

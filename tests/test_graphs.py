@@ -214,12 +214,17 @@ def test_labelling_ids_are_its_own_read_only_array():
 
 
 @pytest.mark.parametrize("top,dtype", [(2 ** 63 - 1, np.int64), (2 ** 63, object)])
-def test_labelling_ids_are_int64_while_they_fit(top, dtype):
-    # the per-ID path and the array path give equal labellings, equal hashes
+def test_labelling_ids_are_int64_while_they_fit(top, dtype, monkeypatch):
+    # the per-ID path and the array path give equal labellings, equal hashes;
+    # per-ID input is an int64 array already at its one sort, since an
+    # object array sorts by Python comparisons, several times slower
+    sorted_dtypes, real_sort = [], np.sort
+    monkeypatch.setattr(np, "sort", lambda a: sorted_dtypes.append(a.dtype) or real_sort(a))
     labs = [Labelling(ids, id_bound=2 ** 64) for ids in ([1, top], np.array([1, top], dtype=np.uint64))]
     for lab in labs:
         assert lab.ids.dtype == dtype and lab.ids.tolist() == [1, top]
     assert labs[0] == labs[1] and hash(labs[0]) == hash(labs[1])
+    assert sorted_dtypes[0] == dtype
 
 
 def reference_sample(n, seed, id_bound):

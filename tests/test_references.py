@@ -399,9 +399,11 @@ def ref_pair_tokens(lines, what):
 def ref_read_graph(source):
     """The line-by-line parser: strips every line, joins and splits tokens.
 
-    One line differs from the original (marked "cap"): headers with
-    n >= 2^32 are rejected; without it, n = 10^18 with d = 0 made
-    RegularGraph.from_edges raise numpy's ValueError.
+    Two lines differ from the original. The one marked "cap" rejects headers
+    with n >= 2^32; without it, n = 10^18 with d = 0 made
+    RegularGraph.from_edges raise numpy's ValueError. The one marked
+    "bound" takes IDs above n^3, since the format carries no ID bound;
+    without it, a file written for 2^70 IDs could not be read back.
     """
     try:
         text = source.read()
@@ -439,7 +441,7 @@ def ref_read_graph(source):
             if v >= n or ids[v] is not None:
                 raise InvalidParameterError(f"bad or repeated vertex in ID line {ln!r}")
             ids[v] = int(vid)
-        lab = Labelling(ids)
+        lab = Labelling(ids, id_bound=max(n ** 3, max(ids)))  # bound
     graph = RegularGraph.from_edges(n, pairs, d=d)
     if directed:
         return Orientation(graph, pairs), lab
@@ -904,6 +906,19 @@ def test_random_streams_equal_one_bit_draws(seed):
     assert make_random_orientation(g, seed).arcs.tolist() == want
 
 
+def test_coin_flips_are_each_generators_one_bit_draws():
+    counts = [5, 0, 1, 33, 0, 200, 2]
+    seeds = [3, 4, 5, 2 ** 40, 7, 8, 9]
+    want = []
+    for seed, k in zip(seeds, counts):
+        rng = random.Random(seed)
+        want += [rng.getrandbits(1) for _ in range(k)]
+    got = graphs.coin_flips([random.Random(s) for s in seeds], counts)
+    assert got.dtype == np.int8 and got.tolist() == want
+    assert graphs.coin_flips([], []).tolist() == []
+    assert graphs.coin_flips([random.Random(1)], [0]).tolist() == []
+
+
 @st.composite
 def id_draws(draw):
     """(n, seed, id_bound): n up to 2000, and a bound from n to 2^63 - 1 that
@@ -1083,6 +1098,20 @@ def test_faulty_rules_give_the_references_violations(suite, params, union_stubs)
     assert got == want
     named = {text.split(":")[0] for text in got["first_violations"]}
     assert 1 < len(named) < got["cases"]  # some cases fail, not all
+
+
+@pytest.mark.parametrize("seed", [7, 2 ** 40])
+@pytest.mark.parametrize("coins", [verify._COINS, 64 * 60])
+def test_folklore_blocks_count_each_random_cut(seed, coins):
+    # 150 trials at n = 60: one partial block, or 64 + 64 + 22 trials
+    trials, n, d = 150, 60, 3
+    g = make_random_regular(n, d, seed=seed)
+    sizes = [cut_size(g, random_cut(g, seed=seed + 1 + i)) for i in range(trials)]
+    with mock.patch.object(verify, "_COINS", coins):
+        report = verify.verify_folklore(seed=seed, trials=trials, n=n, d=d)
+    assert report["mean"] == round(sum(sizes) / trials, 3)
+    assert report["below_045m"] == sum(1 for s in sizes if 20 * s < 9 * g.m)
+    assert report["below_045m"] > 0
 
 
 # --- graph files -----------------------------------------------------------------
