@@ -8,11 +8,14 @@ every node at once, so execution order cannot matter.
 The engine keeps one flat outbox per round, slot u*d + p for port p of
 node u. Delivery is one numpy gather of that outbox at a fixed slot table,
 cut into one inbound tuple per node. Only nodes that have not output yet
-are stepped. The round's total and largest message size are counted once
-over the whole outbox, and the bit limit is checked against that largest
-size; only when it is exceeded, or a node fails otherwise, is the outbox
-scanned slot by slot, so the error names the same node, port and round as
-a port-by-port loop would.
+are stepped. The round's total and largest message size are counted in one
+pass each over the whole outbox: the length of its messages joined into one
+string, and the largest length among its distinct messages. An outbox that
+holds a message that is not a hashable str is counted message by message
+instead. The bit limit is checked against that largest size; only when it
+is exceeded, or a node fails otherwise, is the outbox scanned slot by slot,
+so the error names the same node, port and round as a port-by-port loop
+would.
 
 A program that outputs during its very first activation, before anything
 has been delivered, costs zero rounds.
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from operator import add
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -135,8 +137,12 @@ def run(program: NodeProgram, g: RegularGraph, lab: Labelling,
             # before a bad side) is the error a node-by-node check would raise
             _check_bit_limit(outbox, d, round_index, bit_limit)
             raise
-        round_bits = sum(map(len, filter(None, outbox)))
-        round_max = max(map(len, filter(None, outbox)), default=0)
+        try:  # one pass each while every message is a hashable str
+            round_bits = len("".join(filter(None, outbox)))
+            round_max = max(map(len, set(outbox) - {None}), default=0)
+        except TypeError:
+            round_bits = sum(map(len, filter(None, outbox)))
+            round_max = max(map(len, filter(None, outbox)), default=0)
         if bit_limit is not None and round_max > bit_limit:
             _check_bit_limit(outbox, d, round_index, bit_limit)
         max_bits = max(max_bits, round_max)
@@ -188,6 +194,14 @@ class BitSerializedMedianProgram(NodeProgram):
 
     Takes ceil(id_width / chunk_bits) rounds; with chunk_bits >= id_width it
     degenerates to the one-round program, `MedianProgram`.
+
+    A node keeps what it receives in one string, `state["received"]`: each
+    round appends that round's messages, port by port, each closed by a
+    space, and a silent port (None) brings no bits. The last step splits
+    the string once and joins every port's parts into its neighbour's ID.
+    Messages are '0'/'1' strings; one that held a space would shift the
+    ports, so a part count other than ports x rounds received raises
+    InvalidParameterError.
     """
 
     def __init__(self, id_width: int, chunk_bits: int):
@@ -203,22 +217,30 @@ class BitSerializedMedianProgram(NodeProgram):
         return {
             "bits": encode_id(own_id, self.id_width),
             "id": own_id,
-            "received": [""] * port_count,
+            "received": "",
         }
 
     def step(self, state, round_index, inbound):
         ports = len(inbound)
         if round_index > 0:
-            # the state is this node's own, so extend its strings in place
-            received = state["received"]
-            if None in inbound:
-                inbound = [msg or "" for msg in inbound]
-            received[:] = map(add, received, inbound)
+            try:
+                joined = " ".join(inbound)
+            except TypeError:  # a silent port brings no bits
+                joined = " ".join(["" if msg is None else msg for msg in inbound])
+            state["received"] = f"{state['received']}{joined} "
         if round_index < self.num_chunks:
             lo = round_index * self.chunk_bits
             chunk = state["bits"][lo:lo + self.chunk_bits]
             return state, (chunk,) * ports, None
-        neighbor_ids = sorted(map(decode_id, state["received"]))
+        parts = state["received"].split(" ")
+        if len(parts) != ports * round_index + 1:
+            raise InvalidParameterError(
+                "a message held the separator ' '; messages are '0'/'1' strings"
+            )
+        del parts[-1]  # the empty part after the last separator
+        if round_index > 1:  # port p's chunks are every ports-th part from p
+            parts = ["".join(parts[p::ports]) for p in range(ports)]
+        neighbor_ids = sorted(map(decode_id, parts))
         median = neighbor_ids[len(neighbor_ids) // 2]
         side = LEFT if median > state["id"] else RIGHT
         return state, (None,) * ports, side

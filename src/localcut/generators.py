@@ -156,6 +156,8 @@ def _pairing_round(ns: Sequence[int], d: int, rngs: Sequence[random.Random],
     Returns the edge keys u*n+v (u < v) of every case that got through, and
     the indices of the cases whose leftovers got stuck.
 
+    One case is ordered by sorting its keys in place and keeping their low
+    bits, the stub indices in sorted order, which is what argsort gives.
     Many cases are ordered by one argsort of every key, then a stable sort by
     case index, a radix sort for the small unsigned dtype the index gets.
     This is the order np.lexsort((key, case)) gives: the stub index in a
@@ -171,8 +173,11 @@ def _pairing_round(ns: Sequence[int], d: int, rngs: Sequence[random.Random],
     # the stub index in the low bits breaks ties, so every sort agrees
     low = [(1 << max(nd - 1, 1).bit_length()) - 1 for nd in nds]
     if len(ns) == 1:
-        order = np.argsort(draws & ~np.uint64(low[0]) | np.arange(nds[0], dtype=np.uint64))
-        vertex = order // max(d, 1) + firsts[0]
+        keys = draws & ~np.uint64(low[0])
+        keys |= np.arange(nds[0], dtype=np.uint64)
+        keys.sort()
+        keys &= np.uint64(low[0])
+        vertex = keys.view(np.int64) // max(d, 1) + firsts[0]
     else:
         local = np.arange(int(starts[-1])) - np.repeat(starts[:-1], nds)
         high = draws & ~np.repeat(np.array(low, dtype=np.uint64), nds)

@@ -424,6 +424,14 @@ class Cut:
         self.n = len(self.sides)
 
     @classmethod
+    def _trusted(cls, sides: np.ndarray) -> "Cut":
+        """A Cut over a read-only int8 row of LEFT/RIGHT, kept as given, unchecked."""
+        c = cls.__new__(cls)
+        c.sides = sides
+        c.n = len(sides)
+        return c
+
+    @classmethod
     def from_left_set(cls, n: int, left: Iterable[int]) -> "Cut":
         """LEFT on the given vertices, RIGHT elsewhere; each must lie in 0..n-1."""
         return cls(np.where(_vertex_mask(n, left), LEFT, RIGHT))

@@ -44,6 +44,7 @@ from .graphs import (
     RIGHT,
     Orientation,
     RegularGraph,
+    _read_only,
     is_bipartite,
 )
 
@@ -52,9 +53,14 @@ _BLOCK_BYTES = 1 << 18
 
 
 def _mask_cuts(masks: np.ndarray, n: int) -> list[Cut]:
-    """The cut of each mask, in order: bit v set <=> v on the LEFT."""
+    """The cut of each mask, in order: bit v set <=> v on the LEFT.
+
+    The rows of one read-only sides array are 0/1 by construction, so each
+    is wrapped without a per-row check.
+    """
     bits = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    return [Cut(row) for row in np.array([RIGHT, LEFT], dtype=np.int8)[bits]]
+    sides = _read_only(np.array([RIGHT, LEFT], dtype=np.int8)[bits])
+    return [Cut._trusted(row) for row in sides]
 
 
 def _subset_sums(rows: np.ndarray) -> np.ndarray:

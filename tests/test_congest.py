@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localcut import (
+    BitSerializedMedianProgram,
     CongestionError,
     Cut,
     FlipProgram,
@@ -117,6 +118,19 @@ def test_serialized_median_wide_chunk_is_one_round():
     lab = identity_labelling(g.n)
     cut, trace = run_bit_serialized_median(g, lab, 64)
     assert trace.rounds_used == 1
+
+
+def test_serialized_median_rejects_a_message_holding_the_separator():
+    program = BitSerializedMedianProgram(2, 1)
+    state, _, _ = program.step(program.init(1, 3, 3), 0, (None,) * 3)
+    state, _, out = program.step(state, 1, ("0", "1 ", "1"))
+    assert out is None
+    with pytest.raises(InvalidParameterError, match="separator"):
+        program.step(state, 2, ("1", "0", "1"))
+    one_round = MedianProgram(2)
+    state, _, _ = one_round.step(one_round.init(1, 1, 1), 0, (None,))
+    with pytest.raises(InvalidParameterError, match="separator"):
+        one_round.step(state, 1, (" ",))
 
 
 # --- FLIP program ---------------------------------------------------------------
