@@ -293,7 +293,7 @@ def make_id_orientation(g: RegularGraph, lab: Labelling) -> Orientation:
         raise InvalidParameterError("labelling size does not match graph")
     ids, e = lab.ids, g.edges()
     forward = ids[e[:, 0]] < ids[e[:, 1]]
-    return Orientation(g, np.where(forward[:, None], e, e[:, ::-1]))
+    return Orientation._trusted(g, np.where(forward[:, None], e, e[:, ::-1]))
 
 
 def _coin_orientation(g: RegularGraph, ms: Sequence[int], seeds: Sequence[int]
@@ -302,7 +302,7 @@ def _coin_orientation(g: RegularGraph, ms: Sequence[int], seeds: Sequence[int]
     coin per edge (u, v) from random.Random(seeds[k]); 1 keeps u -> v."""
     e = g.edges()
     forward = coin_flips([random.Random(seed) for seed in seeds], ms) == 1
-    return Orientation(g, np.where(forward[:, None], e, e[:, ::-1]))
+    return Orientation._trusted(g, np.where(forward[:, None], e, e[:, ::-1]))
 
 
 def make_random_orientation(g: RegularGraph, seed: int) -> Orientation:

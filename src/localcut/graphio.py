@@ -55,13 +55,14 @@ def write_graph(target: Union[str, TextIO], obj: GraphLike,
 
 def _write_rows(target: TextIO, rows: int, numbers) -> None:
     """Write `rows` lines "x y", _BLOCK_ROWS at a time; numbers(a, b) lists
-    the x, y of rows a..b-1 in order."""
-    fmt = "%d %d\n" * _BLOCK_ROWS
+    the x, y of rows a..b-1 in order. A block is formatted as bytes, which
+    is faster than str formatting, and then decoded."""
+    fmt = b"%d %d\n" * _BLOCK_ROWS
     for a in range(0, rows, _BLOCK_ROWS):
         b = min(a + _BLOCK_ROWS, rows)
         if b - a < _BLOCK_ROWS:
-            fmt = "%d %d\n" * (b - a)
-        target.write(fmt % tuple(numbers(a, b)))
+            fmt = b"%d %d\n" * (b - a)
+        target.write((fmt % tuple(numbers(a, b))).decode("ascii"))
 
 
 def _id_rows(ids: np.ndarray, a: int, b: int) -> list[int]:
@@ -89,15 +90,17 @@ def _pair_tokens(lines: list[str], what: str) -> list[str]:
     return tokens
 
 
-# Byte classes of the fast parser. SPACE is what str.split() splits on,
-# less the newline: every ASCII character for which str.isspace() is true.
+# Byte tables of the fast parser, each applied with bytes.translate. _CLASS
+# maps a byte to its class; SPACE is what str.split() splits on, less the
+# newline: every ASCII character for which str.isspace() is true. _SPACED
+# keeps digits and makes every other byte a space.
 _SPACE, _DIGIT, _NEWLINE, _OTHER = range(4)
-_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_CLASS[list(b" \t\v\f\r\x1c\x1d\x1e\x1f")] = _SPACE
-_CLASS[list(b"0123456789")] = _DIGIT
-_CLASS[ord("\n")] = _NEWLINE
+_SPACES, _DIGITS = b" \t\v\f\r\x1c\x1d\x1e\x1f", b"0123456789"
+_CLASS = bytes(_SPACE if c in _SPACES else _DIGIT if c in _DIGITS
+               else _NEWLINE if c == ord("\n") else _OTHER for c in range(256))
+_SPACED = bytes(c if c in _DIGITS else ord(" ") for c in range(256))
 _MAX_DIGITS = 18  # every such token fits in an int64
-# Bytes of text per parse chunk. A chunk's temporaries take about 7 bytes
+# Bytes of text per parse chunk. A chunk's temporaries take about 6.5 bytes
 # per byte of text, so at 1 MiB they, not the output, set the parse's peak.
 _CHUNK = 1 << 18
 _BLOCK_ROWS = 1 << 15  # lines per formatted write
@@ -117,32 +120,35 @@ def _header(line: str) -> tuple[int, int, int, bool]:
     return n, m, d, head[3] == "D"
 
 
-def _pair_rows(chars: np.ndarray, cls: np.ndarray) -> Optional[np.ndarray]:
-    """The (rows, 2) int64 array of numbers if `chars`, which opens with a
-    newline and holds no _OTHER byte, is lines of two tokens of at most 18
-    digits each, blank lines aside; else None."""
-    digit = cls == _DIGIT
+def _pair_rows(chunk: bytes, cls: np.ndarray) -> Optional[np.ndarray]:
+    """The (rows, 2) int64 array of numbers if `chunk`, which opens with a
+    newline and holds no _OTHER byte (`cls` holds its byte classes), is
+    lines of two tokens of at most 18 digits each, blank lines aside; else
+    None."""
     # token bounds alternate start, end: the first byte is not a digit
-    bounds = np.flatnonzero(np.diff(digit, append=False))
+    bounds = np.flatnonzero(np.diff(cls == _DIGIT, append=False))
     bounds += 1
-    starts, lengths = bounds[0::2], bounds[1::2]
-    lengths -= starts  # the ends are not needed again
-    if len(starts) % 2 or np.any(lengths > _MAX_DIGITS):
+    starts, ends = bounds[0::2], bounds[1::2]
+    if len(starts) % 2 or np.any(ends - starts > _MAX_DIGITS):
         return None
-    line = np.searchsorted(np.flatnonzero(cls == _NEWLINE), starts)
-    del bounds, starts, lengths
-    if np.any(line[0::2] != line[1::2]) or np.any(line[2::2] == line[1:-1:2]):
-        return None
-    if not len(line):  # np.fromstring reads a blank string as [0]
+    if not len(starts):  # np.fromstring reads a blank string as [0]
         return np.zeros((0, 2), dtype=np.int64)
-    spaced = np.where(digit, chars, ord(" ")).tobytes()
-    return np.fromstring(spaced, dtype=np.int64, sep=" ").reshape(-1, 2)
+    # segment i runs from the last digit of token i to that of token i + 1
+    # (an index inside the chunk even where the last token ends it), so it
+    # holds a newline iff the gap after token i does: none may within a row,
+    # one must between rows
+    ends -= 1
+    nl = np.logical_or.reduceat(cls == _NEWLINE, ends)
+    del bounds, starts, ends
+    if nl[0:-1:2].any() or not nl[1:-1:2].all():
+        return None
+    return np.fromstring(chunk.translate(_SPACED), dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
 def _parse_bytes(text: str) -> Optional[tuple]:
-    """read_graph's fields from a few numpy passes over each chunk of the
-    bytes, or None for any file that is not plainly valid (the line parser
-    then decides).
+    """read_graph's fields from two byte-table translations and a few numpy
+    passes over each chunk of the bytes, or None for any file that is not
+    plainly valid (the line parser then decides).
 
     Chunks of about _CHUNK bytes start at a newline and end before one, so
     no line spans two. The edge rows fill an (m, 2) array and the ID rows an
@@ -168,8 +174,8 @@ def _parse_bytes(text: str) -> Optional[tuple]:
     while a < len(text):
         b = text.find("\n", a + _CHUNK)
         b = len(text) if b < 0 else b
-        chars = np.frombuffer(text[a:b].encode("ascii"), dtype=np.uint8)
-        cls = _CLASS[chars]
+        chunk = text[a:b].encode("ascii")
+        cls = np.frombuffer(chunk.translate(_CLASS), dtype=np.uint8)
         other = np.flatnonzero(cls == _OTHER)
         marker = ids is None and other.size > 0
         if marker:
@@ -178,13 +184,13 @@ def _parse_bytes(text: str) -> Optional[tuple]:
             newlines = np.flatnonzero(cls == _NEWLINE)
             k = np.searchsorted(newlines, other[0])
             edges_end = int(newlines[k - 1])
-            b = a + (int(newlines[k]) if k < len(newlines) else len(chars))
+            b = a + (int(newlines[k]) if k < len(newlines) else len(cls))
             if text[a + edges_end:b].strip() != "IDS":
                 return None
-            chars, cls = chars[:edges_end], cls[:edges_end]
+            chunk, cls = chunk[:edges_end], cls[:edges_end]
         elif other.size:
             return None
-        got = _pair_rows(chars, cls)
+        got = _pair_rows(chunk, cls)
         if got is None or rows + len(got) > due:
             return None
         if ids is None:
@@ -261,5 +267,8 @@ def read_graph(source: Union[str, TextIO]) -> tuple[GraphLike, Optional[Labellin
     del ids
     graph = RegularGraph.from_edges(n, pairs, d=d)
     if directed:
-        return Orientation(graph, pairs), lab
+        # from_edges took the m pairs as a simple d-regular graph, so they
+        # orient each of its edges once: a pair listed both ways would have
+        # repeated a neighbor
+        return Orientation._trusted(graph, pairs), lab
     return graph, lab

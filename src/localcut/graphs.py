@@ -14,10 +14,19 @@ positive integers) live in a separate Labelling so a graph can carry many.
 
 Construction checks run at array speed. A Labelling converts input other
 than an integer array per ID, decides distinctness and bounds from one sort
-and keeps one read-only array. `RegularGraph.from_edges` skips the symmetry
-sort that `RegularGraph(adjacency)` runs: it lays out both directions of
-every edge after checking every degree, so its adjacency is symmetric by
-construction, and loops or repeated edges still fail the row checks.
+and keeps one read-only array. Three constructors trust what holds by
+construction, and only they skip a check:
+
+- `RegularGraph.from_edges` skips the symmetry sort that
+  `RegularGraph(adjacency)` runs: it lays out both directions of every edge
+  after checking every degree, so its adjacency is symmetric, and loops or
+  repeated edges still fail the row checks.
+- `Orientation._trusted` skips the cover check for arcs that orient every
+  edge once by construction: the rows of `edges()`, each kept or reversed
+  (the random and ID orientations), or the pairs `from_edges` accepted for
+  a directed file (an edge listed both ways repeats a neighbor).
+- `Cut._trusted` skips the side check for rows that are 0/1 by
+  construction (the oracle's witness cuts).
 """
 
 from __future__ import annotations
@@ -234,9 +243,21 @@ class Orientation:
             raise InvalidParameterError(
                 "arcs must orient every edge of the graph exactly once"
             )
+        self._take(graph, arcs)
+
+    @classmethod
+    def _trusted(cls, graph: RegularGraph, arcs: np.ndarray) -> "Orientation":
+        """An Orientation over an (m, 2) int64 array that orients every edge
+        of `graph` exactly once by construction, kept as given, unchecked."""
+        o = cls.__new__(cls)
+        o._take(graph, arcs)
+        return o
+
+    def _take(self, graph: RegularGraph, arcs: np.ndarray) -> None:
+        """Keep an int64 arc array, not a copy, and count out-degrees."""
         self.graph = graph
         self.arcs = _read_only(arcs)
-        self.out_degrees = _read_only(np.bincount(arcs[:, 0], minlength=n))
+        self.out_degrees = _read_only(np.bincount(arcs[:, 0], minlength=graph.n))
 
     @property
     def deficits(self) -> np.ndarray:
@@ -361,6 +382,14 @@ def _random_ids(n: int, seed: int, id_bound: int) -> list[int] | np.ndarray:
         left = 2.0 ** bits * (math.log1p(-have / id_bound) - math.log1p(-n / id_bound))
         batch = _draws(rng, bits, int(left + 4 * math.sqrt(left)) + 32)
         draws = np.concatenate([draws, batch[batch < id_bound]])
+        if not have and len(draws) >= n:
+            # with no repeat among the first n draws, they are the first n
+            # distinct ones: one sort tells, where np.unique's index needs
+            # a stable argsort
+            head = np.sort(draws[:n])
+            if not np.any(head[1:] == head[:-1]):
+                return draws[:n] + 1
+            del head
         _, first = np.unique(draws, return_index=True)
         have = len(first)
     first.sort()

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import pathlib
 
 import pytest
 
@@ -52,7 +53,7 @@ def test_gen_is_idempotent(tmp_path, capsys):
     b = gen(tmp_path, "b.txt", "--family", "random", "--n", "20", "--d", "3",
             "--seed", "7")
     capsys.readouterr()
-    assert open(a).read() == open(b).read()
+    assert pathlib.Path(a).read_text() == pathlib.Path(b).read_text()
 
 
 def test_gen_oriented_with_ids(tmp_path, capsys):
@@ -60,7 +61,7 @@ def test_gen_oriented_with_ids(tmp_path, capsys):
                "--oriented", "--ids", "identity")
     rec = record_from(capsys)
     assert rec["directed"] is True
-    text = open(path).read()
+    text = pathlib.Path(path).read_text()
     assert text.splitlines()[0] == "24 60 5 D"
     assert "IDS" in text
 
@@ -219,7 +220,7 @@ def test_run_writes_out_file(tmp_path, capsys):
     out = str(tmp_path / "record.json")
     assert main(["run", "--algo", "median", "--graph", path, "--out", out]) == 0
     on_screen = capsys.readouterr().out
-    assert open(out).read() == on_screen
+    assert pathlib.Path(out).read_text() == on_screen
 
 
 # --- verify ---------------------------------------------------------------------

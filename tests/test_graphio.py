@@ -233,6 +233,15 @@ def test_directed_file_with_both_arc_directions_rejected():
         read_graph(io.StringIO(text))
 
 
+@pytest.mark.parametrize("first", ["0", "0000000000000000000"])
+def test_directed_file_listing_an_edge_both_ways_rejected(first):
+    # every degree is 2 and m = nd/2, so only the repeated neighbor tells;
+    # a 19-digit token sends the file through the line parser
+    text = f"4 4 2 D\n{first} 1\n1 0\n2 3\n3 2\n"
+    with pytest.raises(InvalidParameterError, match="neighbor twice"):
+        read_graph(io.StringIO(text))
+
+
 def test_family_metadata_does_not_survive():
     g = make_double_circulant(6, 3)
     back, _ = read_graph(io.StringIO(graph_to_text(g)))

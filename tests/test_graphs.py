@@ -1,5 +1,6 @@
 """Core types: validation, invariants, and the cut/dicut identities."""
 
+import io
 import random
 
 import numpy as np
@@ -22,10 +23,15 @@ from localcut import (
     is_bipartite,
     make_circulant,
     make_double_circulant,
+    make_id_orientation,
     make_random_orientation,
+    make_random_orientation_union,
+    make_random_regular_union,
     monochromatic_components,
     orient_clockwise,
     random_labelling,
+    read_graph,
+    write_graph,
 )
 
 from conftest import oriented_graphs, peak_bytes, small_regular_graphs
@@ -110,6 +116,33 @@ def test_orientation_degree_sums(o):
     assert o.out_degrees.sum() == m
     assert (o.graph.d - o.out_degrees).sum() == m
     assert o.deficits.sum() == 0
+
+
+def directed_file_orientations(o):
+    """o read back from its directed file, by the byte parser and, with one
+    token widened to 19 digits, by the line parser."""
+    buf = io.StringIO()
+    write_graph(buf, o)
+    text = buf.getvalue()
+    wide = text.replace("\n", "\n" + "0" * 18, 1)
+    return [read_graph(io.StringIO(t))[0] for t in (text, wide)]
+
+
+@given(small_regular_graphs(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_orientations_built_unchecked_pass_the_full_check(g, seed):
+    # the generators and read_graph skip the cover check; the public
+    # constructor, which runs it, must take their arcs as they are
+    ns, seeds = [g.n, g.n + 2], [seed, seed + 1]
+    union = make_random_regular_union(ns, g.d, seeds)
+    built = [make_random_orientation(g, seed),
+             make_id_orientation(g, random_labelling(g.n, seed)),
+             make_random_orientation_union(union, ns, seeds),
+             *directed_file_orientations(make_random_orientation(g, seed))]
+    for o in built:
+        checked = Orientation(o.graph, o.arcs)
+        assert checked == o and o.arcs.dtype == np.int64
+        assert np.array_equal(checked.out_degrees, o.out_degrees)
+        assert not o.arcs.flags.writeable and not o.out_degrees.flags.writeable
 
 
 def test_labelling_rejects_duplicates():

@@ -994,6 +994,37 @@ def test_random_ids_continue_across_short_batches(monkeypatch, n, id_bound):
     assert random_labelling(n, 1, id_bound).ids.tolist() == want
 
 
+def first_valid_draws(seed, n, id_bound):
+    """The first n getrandbits draws of random.Random(seed) below id_bound,
+    repeats kept: the draws random.sample's set method looks at first."""
+    rng, bits, draws = random.Random(seed), id_bound.bit_length(), []
+    while len(draws) < n:
+        j = rng.getrandbits(bits)
+        if j < id_bound:
+            draws.append(j)
+    return draws
+
+
+@pytest.mark.parametrize("n,id_bound,repeat", [
+    # seed 1: 907 distinct values among the first 1000 draws; 5000 lies above
+    # 4117, the largest population sample takes its pool method for at n=1000
+    (1000, 5000, True),
+    # seed 1 at the default bound n^3: the first 10^4 draws are distinct
+    (10 ** 4, 10 ** 12, False),
+    # seed 1 below 10^6: draw 1367 is the first to repeat an earlier one
+    (1366, 10 ** 6, False),
+    (1367, 10 ** 6, True),
+])
+def test_random_ids_keep_the_first_draws_unless_one_repeats(n, id_bound, repeat):
+    # without a repeat the first n draws are the sample and np.unique never
+    # runs; with one it picks the first occurrences
+    assert (len(set(first_valid_draws(1, n, id_bound))) < n) == repeat
+    want = random.Random(1).sample(range(1, id_bound + 1), n)
+    with mock.patch.object(graphs.np, "unique", wraps=np.unique) as unique:
+        assert random_labelling(n, 1, id_bound).ids.tolist() == want
+    assert unique.called == repeat
+
+
 # --- union corpora ----------------------------------------------------------------
 
 def construction_outcome(build):
@@ -1210,6 +1241,69 @@ def test_byte_parser_matches_line_parser(text, universal_newlines):
 def test_byte_parser_matches_line_parser_on_edge_cases(text):
     for universal_newlines in (False, True):
         assert_parsers_agree(text, universal_newlines)
+
+
+def byte_parse_outcome(text):
+    """How _parse_bytes reads `text` against _parse_lines: "bytes" if it
+    returns the line parser's fields at every chunk size, "lines" if it
+    declines a text the line parser reads, "rejected" if both reject it."""
+    try:
+        want = graphio._parse_lines(text)
+    except InvalidParameterError:
+        want = None
+    outcomes = set()
+    for chunk in PARSE_CHUNKS:
+        with mock.patch.object(graphio, "_CHUNK", chunk):
+            got = graphio._parse_bytes(text)
+        if got is None:
+            outcomes.add("lines" if want else "rejected")
+            continue
+        assert want is not None, chunk
+        assert got[:3] == want[:3] and got[3].dtype == np.int64, chunk
+        assert got[3].tolist() == want[3].tolist(), chunk
+        assert (None if got[4] is None else got[4].tolist()) == want[4], chunk
+        outcomes.add("bytes")
+    assert len(outcomes) == 1, outcomes
+    return outcomes.pop()
+
+
+PARSE_BASE = "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 5\n1 6\n2 7\n3 8\n"
+PARSE_SPACES = "\t\v\f\r\x1c\x1d\x1e\x1f"
+
+
+@pytest.mark.parametrize("row", ["1 2", "2 7"])
+@pytest.mark.parametrize("space", PARSE_SPACES)
+def test_byte_parser_takes_each_space_byte_around_tokens(row, space):
+    x, y = row.split()
+    for spaced in (space + row, x + space + y, row + space, space + x + space * 2 + y + space):
+        assert byte_parse_outcome(PARSE_BASE.replace(row, spaced)) == "bytes", spaced
+
+
+@pytest.mark.parametrize("text,outcome", [
+    # the last token ends the text, or the edge rows the IDS marker cuts off
+    ("4 4 2 U\n0 1\n1 2\n2 3\n3 0", "bytes"),
+    (PARSE_BASE.rstrip("\n"), "bytes"),
+    (PARSE_BASE.replace("3 0\n", "3 0 \n"), "bytes"),
+    ("1 0 0 U\nIDS\n0 7", "bytes"),
+    ("4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS", "rejected"),
+    ("4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 5\n1 6\n2 7", "rejected"),
+    # tokens of 18 digits fit an int64 and parse as bytes; 19 go to the lines
+    (PARSE_BASE.replace("3 0", "000000000000000003 0"), "bytes"),
+    (PARSE_BASE.replace("3 8", "3 999999999999999999"), "bytes"),
+    (PARSE_BASE.replace("3 0", "0000000000000000003 0"), "lines"),
+    (PARSE_BASE.replace("3 8", "3 1000000000000000000"), "lines"),
+    # lines of one and of three tokens, an even count overall
+    (PARSE_BASE.replace("0 1\n1 2", "0 1 1\n2"), "rejected"),
+    (PARSE_BASE.replace("0 1\n1 2", "0\n1 1 2"), "rejected"),
+    (PARSE_BASE.replace("2 7\n3 8", "2 7 3\n8"), "rejected"),
+    (PARSE_BASE.replace("3 0\n", "3\n0\n"), "rejected"),
+    # blank lines, empty or of spaces only, between rows and around the marker
+    (PARSE_BASE.replace("\n", "\n\n"), "bytes"),
+    (PARSE_BASE.replace("\n", "\n \t\x1c\r\n"), "bytes"),
+    ("\n\n" + PARSE_BASE.replace("IDS", "\n\x0b\nIDS\n\n"), "bytes"),
+])
+def test_byte_parser_gives_the_line_parsers_arrays(text, outcome):
+    assert byte_parse_outcome(text) == outcome
 
 
 # --- validation -------------------------------------------------------------------
