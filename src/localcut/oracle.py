@@ -25,6 +25,20 @@ within its budget at d <= 7; MaxCut has two arcs per edge, so n*d <= 127),
 int16 for A <= 32767, and more arcs raise InvariantError (within the
 budgets A <= 870).
 
+The scan is a branch and bound over rows. The in-block table holds sums of
+C rows, all <= 0, and its first row is 0, so no score in a row exceeds the
+largest entry of the block's column plus the row's hi. The column is at
+most lo, which counts only arcs with a tail in L, and hi only arcs with a
+tail in H, so the bound lies in [0, A]. The 2^p blocks from one whose index
+ends in p zero bits only add C rows to its column, so one bound, with the
+largest hi of their rows, covers all of them. The caller names the least
+score it still wants, and the kernel scores no run of blocks, block or row
+whose bound falls below it; a block where at least half the rows remain is
+scored whole. The witness solvers want the best score so far plus one: a
+later mask wins only if strictly larger, so the witness is still the
+optimum of lowest mask. The enumeration wants the best score itself, so
+every tie is still listed.
+
 MaxCut is the MaxDiCut of both arcs of every edge. The budgets (n <= 24
 for MaxDiCut, n <= 30 for MaxCut, which also has a bipartite shortcut,
 n <= 16 for listing every optimum) bound the 2^n work. The solvers are
@@ -33,7 +47,7 @@ deliberately independent of the algorithm implementations they certify.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -84,14 +98,16 @@ def _score_table(gain: np.ndarray) -> np.ndarray:
     return t
 
 
-def _dicut_blocks(n: int, arcs, masks: int
-                  ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Dicut sizes of masks 0..masks-1 in ascending blocks.
+def _dicut_blocks(n: int, arcs, masks: int, need: Callable[[], int] | None = None
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Dicut sizes of masks 0..masks-1 in ascending blocks of rows.
 
-    Yields (first, part, hi_rows) where part[i, j] + hi_rows[i] is the size
-    of mask first + i * 2^k + j, so a row-major scan of the blocks visits
-    the masks in ascending order. `part` is one buffer, overwritten by the
-    next block. `masks` is 2^n, or 2^(n-1) to pin vertex n-1 RIGHT.
+    Yields (row_masks, part, hi_rows) where part[i, j] + hi_rows[i] is the
+    size of mask row_masks[i] + j, and row_masks ascend along the stream.
+    `part` may be one buffer, overwritten by the next block. `masks` is 2^n,
+    or 2^(n-1) to pin vertex n-1 RIGHT. `need`, called before each block,
+    returns the least score still wanted: a row whose bound is below it is
+    not scored. Without `need` every row is yielded.
     """
     if len(arcs) > np.iinfo(np.int16).max:
         raise InvariantError(
@@ -115,27 +131,88 @@ def _dicut_blocks(n: int, arcs, masks: int
     c = np.ascontiguousarray(low[:, k:].T)  # c[j, l]: high vertex j vs l
     local = _subset_sums(c[:b])
     part = np.empty_like(local)
+    offsets = np.arange(1 << b, dtype=np.int64) << k  # row starts in a block
+    hi_blocks = hi.reshape(-1, 1 << b)
+    # At least half a block's rows reach `want` iff its middle hi does.
+    hi_mid = np.sort(hi_blocks, axis=1)[:, 1 << b >> 1].tolist()
+    # hi_max[p][x]: the largest hi in blocks x * 2^p .. (x + 1) * 2^p - 1
+    hi_max = [hi_blocks.max(axis=1).tolist()]
+    while len(hi_max[-1]) > 1:
+        hi_max.append(list(map(max, hi_max[-1][::2], hi_max[-1][1::2])))
     # cols[i] = lo + the c rows of the block index's bits >= i
-    cols = [lo] * (hb - b + 1)
+    cols = [lo] * len(hi_max)
+    resume = 0
     for block in range(rows >> b):
+        if block < resume:
+            continue
         if block:
             p = (block & -block).bit_length() - 1
             cols[p] = cols[p + 1] + c[b + p]
             cols[:p] = [cols[p]] * p
+        else:
+            p = len(cols) - 1
+        first, hi_rows = block << (b + k), hi_blocks[block]
+        if need is not None:
+            # local holds sums of c rows, all <= 0, and local[0] = 0; the
+            # next 2^p blocks add the c rows of their low bits to cols[p],
+            # which is cols[0]. So no score in their row i exceeds
+            # max(cols[0]) + hi[i]: skip the longest such run in which no
+            # hi reaches `want`.
+            want = need() - int(cols[0].max())
+            if hi_max[0][block] < want:
+                while hi_max[p][block >> p] >= want:
+                    p -= 1
+                resume = block + (1 << p)
+                continue
+            if hi_mid[block] < want:
+                # want <= max(hi_rows) here, so it fits the table's dtype
+                kept = np.flatnonzero(hi_rows >= want)
+                # Gathered into the block buffer: a new array per block cost
+                # more than the skipped rows saved. kept is in range, and
+                # mode="clip" lets take write to `out` without a copy.
+                rows_kept = part[:kept.size]
+                np.take(local, kept, axis=0, out=rows_kept, mode="clip")
+                np.add(rows_kept, cols[0], out=rows_kept)
+                yield offsets[kept] + first, rows_kept, hi_rows[kept]
+                continue
         np.add(local, cols[0], out=part)
-        yield block << (b + k), part, hi[block << b:(block + 1) << b]
+        yield offsets + first, part, hi_rows
 
 
 def _best_dicut(n: int, arcs, masks: int) -> tuple[int, Cut]:
-    """Largest score with its lowest mask; a later block wins only if strictly larger."""
+    """Largest score with its lowest mask.
+
+    A later mask wins only if strictly larger, so a row whose bound is at
+    most the best score so far is never scored: it cannot move the witness.
+    """
     best, best_mask = -1, 0
-    for first, part, hi_rows in _dicut_blocks(n, arcs, masks):
+    for row_masks, part, hi_rows in _dicut_blocks(n, arcs, masks, lambda: best + 1):
         top = part.max(axis=1) + hi_rows
         r = int(np.argmax(top))
         if top[r] > best:
             best = int(top[r])
-            best_mask = first + r * part.shape[1] + int(np.argmax(part[r]))
+            best_mask = int(row_masks[r]) + int(np.argmax(part[r]))
     return best, _mask_cuts([best_mask], n)[0]
+
+
+def _best_masks(n: int, arcs) -> tuple[int, np.ndarray]:
+    """Largest score with every mask that reaches it, ascending.
+
+    Streams the blocks, keeping only the masks that tie the running best.
+    A row is skipped only if its bound is below the best score so far, so
+    every tie of the final best is scored.
+    """
+    best, ties = -1, []
+    for row_masks, part, hi_rows in _dicut_blocks(n, arcs, 1 << n, lambda: best):
+        top = part.max(axis=1) + hi_rows
+        t = int(top.max())
+        if t > best:
+            best, ties = t, []
+        if t == best:
+            r = np.flatnonzero(top == best)
+            i, j = np.nonzero(part[r] == (best - hi_rows[r])[:, None])
+            ties.append(row_masks[r[i]] + j)
+    return best, np.concatenate(ties)
 
 
 def max_cut_exact(g: RegularGraph, budget: int = 30) -> tuple[int, Cut]:
@@ -167,23 +244,11 @@ def max_dicut_exact(o: Orientation, budget: int = 24) -> tuple[int, Cut]:
 
 
 def enumerate_max_dicuts(o: Orientation, budget: int = 16) -> tuple[int, list[Cut]]:
-    """All optimal directed cuts (ties included), in ascending mask order.
-
-    Streams the blocks, keeping only the masks that tie the running best.
-    """
+    """All optimal directed cuts (ties included), in ascending mask order."""
     n = o.graph.n
     if n > budget:
         raise BudgetError(
             f"witness enumeration wants n <= {budget}, got {n}"
         )
-    best, ties = -1, []
-    for first, part, hi_rows in _dicut_blocks(n, o.arcs, 1 << n):
-        top = part.max(axis=1) + hi_rows
-        t = int(top.max())
-        if t > best:
-            best, ties = t, []
-        if t == best:
-            r = np.flatnonzero(top == best)
-            i, j = np.nonzero(part[r] == (best - hi_rows[r])[:, None])
-            ties.append(first + r[i] * part.shape[1] + j)
-    return best, _mask_cuts(np.concatenate(ties), n)
+    best, masks = _best_masks(n, o.arcs)
+    return best, _mask_cuts(masks, n)

@@ -20,9 +20,11 @@ from localcut import (
     enumerate_max_dicuts,
     is_bipartite,
     make_circulant,
+    make_abcd_instance,
     make_double_circulant,
     make_random_orientation,
     make_random_regular,
+    make_single_flip_stuck_instance,
     max_cut_exact,
     max_dicut_exact,
     orient_clockwise,
@@ -101,24 +103,40 @@ def orientations_up_to_16(draw):
 
 
 def kernel_scores(n, arcs, masks) -> np.ndarray:
-    """Every score the kernel yields, in mask order: each block's partial
-    scores plus the hi term of their row, added in int64 into a new array,
-    since the kernel overwrites one buffer."""
+    """Every score the kernel yields with no score to beat, in mask order:
+    each block's partial scores plus the hi term of their row, added in
+    int64 into a new array, since the kernel overwrites one buffer."""
     blocks, size = [], 0
-    for first, part, hi_rows in oracle._dicut_blocks(n, arcs, masks):
-        assert first == size
+    for row_masks, part, hi_rows in oracle._dicut_blocks(n, arcs, masks):
+        assert np.array_equal(row_masks, size + part.shape[1] * np.arange(len(part)))
         blocks.append((part + hi_rows[:, None].astype(np.int64)).ravel())
         size += part.size
     assert size == masks
     return np.concatenate(blocks)
 
 
+def unpruned_best(n, arcs) -> tuple[int, np.ndarray]:
+    """The best dicut size over the kernel's unpruned stream and every mask
+    that reaches it, ascending; block by block, so n=24 fits in memory."""
+    best, ties = -1, []
+    for row_masks, part, hi_rows in oracle._dicut_blocks(n, arcs, 1 << n):
+        scores = (part + hi_rows[:, None].astype(np.int64)).ravel()
+        masks = (row_masks[:, None] + np.arange(part.shape[1])).ravel()
+        t = int(scores.max())
+        if t > best:
+            best, ties = t, []
+        if t == best:
+            ties.append(masks[scores == best])
+    return best, np.concatenate(ties)
+
+
 # Block sizes in bytes, which are cells in the int8 tables of every instance
 # here (at most 127 arcs): 1 << 20 holds every n <= 16 instance in one block,
 # as the default 2^18 does; 8 splits it into many one- or few-row blocks, so the
-# strict-greater rule across blocks decides the witness; "two-rows" puts one
-# bit of the high half in each block, so the in-block table and the
-# per-block column both carry part of every mask.
+# strict-greater rule across blocks decides the witness and the solvers'
+# bounds skip runs of blocks and single rows; "two-rows" puts one bit of the
+# high half in each block, so the in-block table and the per-block column
+# both carry part of every mask.
 ONE_BLOCK = 1 << 20
 
 
@@ -163,8 +181,77 @@ def test_kernel_matches_per_arc_reference_on_multigraphs(n, data):
     arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                               max_size=40))
     arcs = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+    acc = per_arc_sizes(n, arcs)
+    best = int(acc.max())
     with mock.patch.object(oracle, "_BLOCK_BYTES", data.draw(st.sampled_from([8, ONE_BLOCK]))):
-        assert np.array_equal(kernel_scores(n, arcs, 1 << n), per_arc_sizes(n, arcs))
+        assert np.array_equal(kernel_scores(n, arcs, 1 << n), acc)
+        assert oracle._best_dicut(n, arcs, 1 << n) == (best, mask_cut(np.argmax(acc), n))
+        size, masks = oracle._best_masks(n, arcs)
+        assert size == best and np.array_equal(masks, np.flatnonzero(acc == best))
+
+
+@pytest.mark.parametrize("count", [127, 128])
+@pytest.mark.parametrize("arcs_of", [
+    # max(cols[0]) + max(hi) = A in the block of high vertex 3: its column
+    # keeps the A/2 arcs 0->2 and hi({3}) counts the rest.
+    lambda a: [(0, 2)] * (a // 2) + [(3, 1)] * (a - a // 2),
+    # OPT = A in the first block, then a column of 0 (all arcs 0->3 lost to
+    # the block of vertex 3): the witness scan wants A + 1 there.
+    lambda a: [(0, 3)] * a,
+    # OPT = A in every block: four ties across the high half.
+    lambda a: [(0, 1)] * a,
+])
+@pytest.mark.parametrize("block_cells", [8, ONE_BLOCK])
+def test_pruned_kernel_at_the_int8_limit(count, arcs_of, block_cells):
+    # 127 arcs fill the int8 tables and 128 move to int16; every bound and
+    # score here reaches A itself.
+    arcs = np.array(arcs_of(count))
+    assert len(arcs) == count
+    acc = per_arc_sizes(4, arcs)
+    best = int(acc.max())
+    assert best == count
+    with mock.patch.object(oracle, "_BLOCK_BYTES", block_cells):
+        assert next(oracle._dicut_blocks(4, arcs, 16))[1].dtype == (
+            np.int8 if count <= 127 else np.int16)
+        assert oracle._best_dicut(4, arcs, 16) == (best, mask_cut(np.argmax(acc), 4))
+        size, masks = oracle._best_masks(4, arcs)
+        assert size == best and np.array_equal(masks, np.flatnonzero(acc == best))
+
+
+def counting_kernel(rows: list):
+    """oracle._dicut_blocks, appending the number of rows of each block it yields."""
+    kernel = oracle._dicut_blocks
+
+    def counted(*args, **kwargs):
+        for block in kernel(*args, **kwargs):
+            rows.append(len(block[1]))
+            yield block
+    return counted
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_abcd_instance(3, 12),
+    lambda: make_abcd_instance(5, 20),
+    lambda: make_abcd_instance(3, 24),
+    lambda: make_single_flip_stuck_instance(3),
+    lambda: orient_clockwise(make_double_circulant(6, 3)),
+], ids=["abcd3-12", "abcd5-20", "abcd3-24", "stuck3", "clockwise-D12"])
+def test_pruned_scan_matches_unpruned_stream(make):
+    o = make()
+    n = o.graph.n
+    best, ties = unpruned_best(n, o.arcs)
+    assert max_dicut_exact(o, budget=n) == (best, mask_cut(ties[0], n))
+    assert_ties(enumerate_max_dicuts(o, budget=n), best, ties, n)
+
+
+def test_pruned_scan_skips_rows():
+    # ABCD(3, 24) scores 73 of its 4096 rows: its first 64-row block finds
+    # 18 of OPT = 20, then 8 rows find 19 and one row finds 20.
+    o = make_abcd_instance(3, 24)
+    rows = []
+    with mock.patch.object(oracle, "_dicut_blocks", counting_kernel(rows)):
+        assert max_dicut_exact(o)[0] == 20
+    assert 0 < sum(rows) < (1 << 12) // 10
 
 
 @pytest.mark.parametrize("arc", [(0, 1), (1, 0), (0, 0)])
