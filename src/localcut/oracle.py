@@ -25,19 +25,18 @@ within its budget at d <= 7; MaxCut has two arcs per edge, so n*d <= 127),
 int16 for A <= 32767, and more arcs raise InvariantError (within the
 budgets A <= 870).
 
-The scan is a branch and bound over rows. The in-block table holds sums of
-C rows, all <= 0, and its first row is 0, so no score in a row exceeds the
-largest entry of the block's column plus the row's hi. The column is at
-most lo, which counts only arcs with a tail in L, and hi only arcs with a
-tail in H, so the bound lies in [0, A]. The 2^p blocks from one whose index
-ends in p zero bits only add C rows to its column, so one bound, with the
-largest hi of their rows, covers all of them. The caller names the least
-score it still wants, and the kernel scores no run of blocks, block or row
-whose bound falls below it; a block where at least half the rows remain is
-scored whole. The witness solvers want the best score so far plus one: a
-later mask wins only if strictly larger, so the witness is still the
-optimum of lowest mask. The enumeration wants the best score itself, so
-every tie is still listed.
+The scan is a branch and bound over blocks. The in-block table holds sums
+of C rows, all <= 0, and its first row is 0, so no score in a block exceeds
+the largest entry of its column plus the largest hi of its rows. The column
+is at most lo, which counts only arcs with a tail in L, and hi only arcs
+with a tail in H, so the bound lies in [0, A]. The 2^p blocks from one
+whose index ends in p zero bits only add C rows to its column, so one
+bound, with the largest hi of their rows, covers all of them. The caller
+names the least score it still wants, and the kernel scores no block or
+run of blocks whose bound falls below it. The witness solvers want the
+best score so far plus one: a later mask wins only if strictly larger, so
+the witness is still the optimum of lowest mask. The enumeration wants the
+best score itself, so every tie is still listed.
 
 MaxCut is the MaxDiCut of both arcs of every edge. The budgets (n <= 24
 for MaxDiCut, n <= 30 for MaxCut, which also has a bipartite shortcut,
@@ -98,16 +97,25 @@ def _score_table(gain: np.ndarray) -> np.ndarray:
     return t
 
 
-def _dicut_blocks(n: int, arcs, masks: int, need: Callable[[], int] | None = None
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Dicut sizes of masks 0..masks-1 in ascending blocks of rows.
+def _run_maxima(x: list[int]) -> list[list[int]]:
+    """m[p][i] = max(x[i * 2^p : (i + 1) * 2^p]), for len(x) a power of 2."""
+    m = [x]
+    while len(m[-1]) > 1:
+        m.append(list(map(max, m[-1][::2], m[-1][1::2])))
+    return m
 
-    Yields (row_masks, part, hi_rows) where part[i, j] + hi_rows[i] is the
-    size of mask row_masks[i] + j, and row_masks ascend along the stream.
-    `part` may be one buffer, overwritten by the next block. `masks` is 2^n,
-    or 2^(n-1) to pin vertex n-1 RIGHT. `need`, called before each block,
-    returns the least score still wanted: a row whose bound is below it is
-    not scored. Without `need` every row is yielded.
+
+def _dicut_blocks(n: int, arcs, masks: int, need: Callable[[], int] | None = None
+                  ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Dicut sizes of masks 0..masks-1 in ascending blocks.
+
+    Yields (first, part, hi_rows) where part[i, j] + hi_rows[i] is the size
+    of mask first + i * 2^k + j, so a row-major scan of the blocks visits
+    the masks in ascending order. `part` is one buffer, overwritten by the
+    next block. `masks` is 2^n, or 2^(n-1) to pin vertex n-1 RIGHT. `need`,
+    called before each block, returns the least score still wanted: a block
+    whose bound is below it is not scored. Without `need` every block is
+    yielded.
     """
     if len(arcs) > np.iinfo(np.int16).max:
         raise InvariantError(
@@ -131,67 +139,51 @@ def _dicut_blocks(n: int, arcs, masks: int, need: Callable[[], int] | None = Non
     c = np.ascontiguousarray(low[:, k:].T)  # c[j, l]: high vertex j vs l
     local = _subset_sums(c[:b])
     part = np.empty_like(local)
-    offsets = np.arange(1 << b, dtype=np.int64) << k  # row starts in a block
-    hi_blocks = hi.reshape(-1, 1 << b)
-    # At least half a block's rows reach `want` iff its middle hi does.
-    hi_mid = np.sort(hi_blocks, axis=1)[:, 1 << b >> 1].tolist()
-    # hi_max[p][x]: the largest hi in blocks x * 2^p .. (x + 1) * 2^p - 1
-    hi_max = [hi_blocks.max(axis=1).tolist()]
-    while len(hi_max[-1]) > 1:
-        hi_max.append(list(map(max, hi_max[-1][::2], hi_max[-1][1::2])))
+    blocks = rows >> b
     # cols[i] = lo + the c rows of the block index's bits >= i
-    cols = [lo] * len(hi_max)
-    resume = 0
-    for block in range(rows >> b):
-        if block < resume:
-            continue
+    cols = [lo] * blocks.bit_length()
+    hi_max = []  # _run_maxima of the blocks' largest hi, built when first wanted
+    block = 0
+    while block < blocks:
         if block:
             p = (block & -block).bit_length() - 1
             cols[p] = cols[p + 1] + c[b + p]
             cols[:p] = [cols[p]] * p
         else:
             p = len(cols) - 1
-        first, hi_rows = block << (b + k), hi_blocks[block]
         if need is not None:
             # local holds sums of c rows, all <= 0, and local[0] = 0; the
             # next 2^p blocks add the c rows of their low bits to cols[p],
-            # which is cols[0]. So no score in their row i exceeds
-            # max(cols[0]) + hi[i]: skip the longest such run in which no
-            # hi reaches `want`.
+            # which is cols[0]. So no score in them exceeds max(cols[0])
+            # plus the largest hi of their rows: skip the longest such run
+            # in which no hi reaches `want`. hi >= 0, so a want <= 0 (every
+            # one-block call) skips nothing and builds no table.
             want = need() - int(cols[0].max())
-            if hi_max[0][block] < want:
-                while hi_max[p][block >> p] >= want:
-                    p -= 1
-                resume = block + (1 << p)
-                continue
-            if hi_mid[block] < want:
-                # want <= max(hi_rows) here, so it fits the table's dtype
-                kept = np.flatnonzero(hi_rows >= want)
-                # Gathered into the block buffer: a new array per block cost
-                # more than the skipped rows saved. kept is in range, and
-                # mode="clip" lets take write to `out` without a copy.
-                rows_kept = part[:kept.size]
-                np.take(local, kept, axis=0, out=rows_kept, mode="clip")
-                np.add(rows_kept, cols[0], out=rows_kept)
-                yield offsets[kept] + first, rows_kept, hi_rows[kept]
-                continue
+            if want > 0:
+                hi_max = hi_max or _run_maxima(hi.reshape(blocks, -1).max(axis=1).tolist())
+                if hi_max[0][block] < want:
+                    while hi_max[p][block >> p] >= want:
+                        p -= 1
+                    block += 1 << p
+                    continue
         np.add(local, cols[0], out=part)
-        yield offsets + first, part, hi_rows
+        yield block << (b + k), part, hi[block << b:(block + 1) << b]
+        block += 1
 
 
 def _best_dicut(n: int, arcs, masks: int) -> tuple[int, Cut]:
     """Largest score with its lowest mask.
 
-    A later mask wins only if strictly larger, so a row whose bound is at
+    A later mask wins only if strictly larger, so a block whose bound is at
     most the best score so far is never scored: it cannot move the witness.
     """
     best, best_mask = -1, 0
-    for row_masks, part, hi_rows in _dicut_blocks(n, arcs, masks, lambda: best + 1):
+    for first, part, hi_rows in _dicut_blocks(n, arcs, masks, lambda: best + 1):
         top = part.max(axis=1) + hi_rows
         r = int(np.argmax(top))
         if top[r] > best:
             best = int(top[r])
-            best_mask = int(row_masks[r]) + int(np.argmax(part[r]))
+            best_mask = first + r * part.shape[1] + int(np.argmax(part[r]))
     return best, _mask_cuts([best_mask], n)[0]
 
 
@@ -199,11 +191,11 @@ def _best_masks(n: int, arcs) -> tuple[int, np.ndarray]:
     """Largest score with every mask that reaches it, ascending.
 
     Streams the blocks, keeping only the masks that tie the running best.
-    A row is skipped only if its bound is below the best score so far, so
+    A block is skipped only if its bound is below the best score so far, so
     every tie of the final best is scored.
     """
     best, ties = -1, []
-    for row_masks, part, hi_rows in _dicut_blocks(n, arcs, 1 << n, lambda: best):
+    for first, part, hi_rows in _dicut_blocks(n, arcs, 1 << n, lambda: best):
         top = part.max(axis=1) + hi_rows
         t = int(top.max())
         if t > best:
@@ -211,7 +203,7 @@ def _best_masks(n: int, arcs) -> tuple[int, np.ndarray]:
         if t == best:
             r = np.flatnonzero(top == best)
             i, j = np.nonzero(part[r] == (best - hi_rows[r])[:, None])
-            ties.append(row_masks[r[i]] + j)
+            ties.append(first + r[i] * part.shape[1] + j)
     return best, np.concatenate(ties)
 
 

@@ -107,8 +107,8 @@ def kernel_scores(n, arcs, masks) -> np.ndarray:
     each block's partial scores plus the hi term of their row, added in
     int64 into a new array, since the kernel overwrites one buffer."""
     blocks, size = [], 0
-    for row_masks, part, hi_rows in oracle._dicut_blocks(n, arcs, masks):
-        assert np.array_equal(row_masks, size + part.shape[1] * np.arange(len(part)))
+    for first, part, hi_rows in oracle._dicut_blocks(n, arcs, masks):
+        assert first == size
         blocks.append((part + hi_rows[:, None].astype(np.int64)).ravel())
         size += part.size
     assert size == masks
@@ -119,9 +119,9 @@ def unpruned_best(n, arcs) -> tuple[int, np.ndarray]:
     """The best dicut size over the kernel's unpruned stream and every mask
     that reaches it, ascending; block by block, so n=24 fits in memory."""
     best, ties = -1, []
-    for row_masks, part, hi_rows in oracle._dicut_blocks(n, arcs, 1 << n):
+    for first, part, hi_rows in oracle._dicut_blocks(n, arcs, 1 << n):
         scores = (part + hi_rows[:, None].astype(np.int64)).ravel()
-        masks = (row_masks[:, None] + np.arange(part.shape[1])).ravel()
+        masks = first + np.arange(part.size)
         t = int(scores.max())
         if t > best:
             best, ties = t, []
@@ -134,7 +134,7 @@ def unpruned_best(n, arcs) -> tuple[int, np.ndarray]:
 # here (at most 127 arcs): 1 << 20 holds every n <= 16 instance in one block,
 # as the default 2^18 does; 8 splits it into many one- or few-row blocks, so the
 # strict-greater rule across blocks decides the witness and the solvers'
-# bounds skip runs of blocks and single rows; "two-rows" puts one bit of the
+# bounds skip single blocks and runs of them; "two-rows" puts one bit of the
 # high half in each block, so the in-block table and the per-block column
 # both carry part of every mask.
 ONE_BLOCK = 1 << 20
@@ -245,8 +245,8 @@ def test_pruned_scan_matches_unpruned_stream(make):
 
 
 def test_pruned_scan_skips_rows():
-    # ABCD(3, 24) scores 73 of its 4096 rows: its first 64-row block finds
-    # 18 of OPT = 20, then 8 rows find 19 and one row finds 20.
+    # ABCD(3, 24) scores 3 of its 64 blocks of 64 rows, 192 of 4096 rows:
+    # block 0 finds 18 of OPT = 20, block 4 finds 19 and block 12 finds 20.
     o = make_abcd_instance(3, 24)
     rows = []
     with mock.patch.object(oracle, "_dicut_blocks", counting_kernel(rows)):
