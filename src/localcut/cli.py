@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0,
                    help="size parameter (cycle length for dnd; total for others)")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--oriented", action="store_true",
                    help="emit the clockwise/random orientation")
     p.add_argument("--ids", choices=["none", "identity", "extremal"], default="none",
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=_non_negative_int, default=10)
     p.add_argument("--start", choices=["all-left", "half", "random"], default="half")
     p.add_argument("--order", choices=["lowest", "highest"], default="lowest")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--congest-b", type=int, default=None,
                    help="per-message bit limit; serializes the median rule")
     p.add_argument("--with-opt", action="store_true",
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
                    choices=sorted(verify_mod.SUITES) + ["all"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 

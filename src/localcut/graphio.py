@@ -15,6 +15,12 @@ str.split() takes it to be. Orientations round-trip as directed files;
 generator family metadata does not survive a round trip (the format
 carries structure only).
 
+read_graph has one parser, a few numpy passes over each chunk of the
+bytes. Numbers of up to 18 digits decode in numpy; a chunk holding a longer
+token decodes through Python int, so IDs may exceed 64 bits. An error
+names the first bad line of the first kind of fault in a fixed order (see
+_parse_bytes).
+
 Working memory stays near the text plus the result. read_graph holds the
 whole text, the temporaries of one parse chunk of about _CHUNK bytes (a few
 times its size; a chunk ends at a line end, so this holds for lines shorter
@@ -25,6 +31,7 @@ formatted lines at a time.
 
 from __future__ import annotations
 
+import re
 from typing import Optional, TextIO, Union
 
 import numpy as np
@@ -37,14 +44,14 @@ GraphLike = Union[RegularGraph, Orientation]
 
 def write_graph(target: Union[str, TextIO], obj: GraphLike,
                 lab: Optional[Labelling] = None) -> None:
-    if isinstance(target, str):
-        with open(target, "w", encoding="ascii") as fh:
-            write_graph(fh, obj, lab)
-        return
     directed = isinstance(obj, Orientation)
     g = obj.graph if directed else obj
     if lab is not None and lab.n != g.n:
         raise InvalidParameterError("labelling size does not match graph")
+    if isinstance(target, str):  # opened only once the write can go ahead
+        with open(target, "w", encoding="ascii") as fh:
+            write_graph(fh, obj, lab)
+        return
     pairs = obj.arcs if directed else g.edges()
     target.write(f"{g.n} {g.m} {g.d} {'D' if directed else 'U'}\n")
     _write_rows(target, g.m, lambda a, b: pairs[a:b].ravel().tolist())
@@ -73,28 +80,12 @@ def _id_rows(ids: np.ndarray, a: int, b: int) -> list[int]:
     return flat
 
 
-def _pair_tokens(lines: list[str], what: str) -> list[str]:
-    """The tokens of lines that each hold two plain non-negative integers.
-
-    Plain means digits only (the text is ASCII): Python's int() would also
-    take "+3" or "0_0". The first bad line is named in the error.
-    """
-    tokens = " ".join(lines).split()
-    # Once every token is digits, a line holds a single token iff it is all
-    # digits; with none such, 2 tokens per line overall means 2 on each.
-    if (len(tokens) != 2 * len(lines) or any(map(str.isdigit, lines))
-            or (tokens and not "".join(tokens).isdigit())):
-        bad = next(ln for ln in lines
-                   if len(ln.split()) != 2 or not all(map(str.isdigit, ln.split())))
-        raise InvalidParameterError(f"bad {what} line {bad!r}")
-    return tokens
-
-
-# Byte tables of the fast parser, each applied with bytes.translate. _CLASS
-# maps a byte to its class; SPACE is what str.split() splits on, less the
-# newline: every ASCII character for which str.isspace() is true. _SPACED
-# keeps digits and makes every other byte a space.
-_SPACE, _DIGIT, _NEWLINE, _OTHER = range(4)
+# Byte tables of the parser, each applied with bytes.translate. _CLASS maps
+# a byte to its class; SPACE is what str.split() splits on, less the
+# newline: every ASCII character for which str.isspace() is true. Tokens are
+# runs of DIGIT and OTHER bytes. _SPACED keeps digits and makes every other
+# byte a space.
+_SPACE, _NEWLINE, _DIGIT, _OTHER = range(4)
 _SPACES, _DIGITS = b" \t\v\f\r\x1c\x1d\x1e\x1f", b"0123456789"
 _CLASS = bytes(_SPACE if c in _SPACES else _DIGIT if c in _DIGITS
                else _NEWLINE if c == ord("\n") else _OTHER for c in range(256))
@@ -107,7 +98,7 @@ _BLOCK_ROWS = 1 << 15  # lines per formatted write
 
 
 def _header(line: str) -> tuple[int, int, int, bool]:
-    """(n, m, d, directed) of a header line `n m d U|D`."""
+    """(n, m, d, directed) of a stripped header line `n m d U|D`."""
     head = line.split()
     if (len(head) != 4 or head[3] not in ("U", "D")
             or not all(map(str.isdigit, head[:3]))):
@@ -120,133 +111,139 @@ def _header(line: str) -> tuple[int, int, int, bool]:
     return n, m, d, head[3] == "D"
 
 
-def _pair_rows(chunk: bytes, cls: np.ndarray) -> Optional[np.ndarray]:
-    """The (rows, 2) int64 array of numbers if `chunk`, which opens with a
-    newline and holds no _OTHER byte (`cls` holds its byte classes), is
-    lines of two tokens of at most 18 digits each, blank lines aside; else
-    None."""
-    # token bounds alternate start, end: the first byte is not a digit
-    bounds = np.flatnonzero(np.diff(cls == _DIGIT, append=False))
+def _chunk_lines(chunk: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, is_row, rows) of `chunk`, which opens with a newline.
+
+    Line i, the chunk's i-th non-blank line, stripped, is chunk[lo[i]:hi[i]];
+    is_row[i] whether it is a row, two tokens of digits only. rows holds the
+    numbers of the rows, one row each: int64, or Python ints in an object
+    array where a token has more than 18 digits.
+    """
+    cls = np.frombuffer(chunk.translate(_CLASS), dtype=np.uint8)
+    # token bounds alternate start, end: the first byte is a newline
+    bounds = np.flatnonzero(np.diff(cls >= _DIGIT, append=False))
     bounds += 1
     starts, ends = bounds[0::2], bounds[1::2]
-    if len(starts) % 2 or np.any(ends - starts > _MAX_DIGITS):
-        return None
-    if not len(starts):  # np.fromstring reads a blank string as [0]
-        return np.zeros((0, 2), dtype=np.int64)
-    # segment i runs from the last digit of token i to that of token i + 1
+    # segment i runs from the last byte of token i to that of token i + 1
     # (an index inside the chunk even where the last token ends it), so it
-    # holds a newline iff the gap after token i does: none may within a row,
-    # one must between rows
-    ends -= 1
-    nl = np.logical_or.reduceat(cls == _NEWLINE, ends)
-    del bounds, starts, ends
-    if nl[0:-1:2].any() or not nl[1:-1:2].all():
-        return None
-    return np.fromstring(chunk.translate(_SPACED), dtype=np.int64, sep=" ").reshape(-1, 2)
+    # holds a newline iff token i + 1 opens a line; token 0 opens one
+    opens = np.logical_or.reduceat(cls == _NEWLINE, ends - 1)
+    first = np.flatnonzero(np.append(True, opens[:-1]))[:len(starts)]  # none if no token
+    count = np.diff(first, append=len(starts))  # tokens per line
+    lo, hi = starts[first], ends[first + count - 1]
+    is_row = count == 2  # and no byte of another class, which lo locates:
+    is_row[np.searchsorted(lo, np.flatnonzero(cls == _OTHER), "right") - 1] = False
+    del cls
+    spaced = chunk.translate(_SPACED)
+    if not is_row.all():
+        # blank the lines that are not rows: the digits left are the rows'
+        buf = bytearray(spaced)
+        for a, b in zip(lo[~is_row].tolist(), hi[~is_row].tolist()):
+            buf[a:b] = b" " * (b - a)
+        spaced = bytes(buf)
+    if is_row.any() and (ends - starts).max() <= _MAX_DIGITS:
+        rows = np.fromstring(spaced, dtype=np.int64, sep=" ")
+    else:  # np.fromstring would read a blank string as [0]
+        rows = np.array([int(t) for t in spaced.split()], dtype=object)
+    return lo, hi, is_row, rows.reshape(-1, 2)
 
 
-def _parse_bytes(text: str) -> Optional[tuple]:
-    """read_graph's fields from two byte-table translations and a few numpy
-    passes over each chunk of the bytes, or None for any file that is not
-    plainly valid (the line parser then decides).
+def _first_repeat(vertices: np.ndarray, ids: np.ndarray) -> int:
+    """The index of the first of `vertices` that is not below n = len(ids),
+    or that ids (-1 where unnamed) or an earlier entry already names; -1
+    if there is none."""
+    n = len(ids)
+    if vertices.max() < n:
+        at = np.sort(vertices.astype(np.int64))
+        if not np.any(at[1:] == at[:-1]) and (ids[at] < 0).all():
+            return -1
+    seen = set()
+    for i, v in enumerate(vertices.tolist()):
+        if v >= n or ids[v] >= 0 or v in seen:
+            return i
+        seen.add(v)
+    return -1
+
+
+def _parse_bytes(text: str) -> tuple:
+    """read_graph's fields: n, d, directed, the (m, 2) edge array and the
+    (n,) ID array or None.
 
     Chunks of about _CHUNK bytes start at a newline and end before one, so
-    no line spans two. The edge rows fill an (m, 2) array and the ID rows an
-    (n,) array, both allocated from the header.
+    no line spans two. The non-blank lines below the header are numbered
+    from 0: line j is an edge row for j < m, the IDS marker for j = m and
+    an ID row for m < j <= m + n. The first fault of each kind is kept under
+    its rank, and once the text is read the lowest rank's is raised: 0 too
+    few lines, 1 a bad edge line, 2 an edge beyond 64 bits, 3 a bad IDS
+    section, 4 a bad ID line, 5 a bad or repeated vertex. The edge rows fill
+    an (m, 2) array and the ID rows an (n,) array, both allocated once from
+    the header; a chunk's Python-int IDs make the latter an object array.
     """
-    start = 0
-    while True:  # the header is the first non-blank line
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        if text[start:end].split() or end == len(text):
-            break
-        start = end + 1
-    try:
-        n, m, d, directed = _header(text[start:end])
-    except InvalidParameterError:
-        return None
-    # each row takes at least 4 bytes ("u v" and its newline), so a header
-    # that claims more rows than the text can hold allocates nothing
-    if 4 * m > len(text) - end:
-        return None
-    pairs, ids = np.empty((m, 2), dtype=np.int64), None
-    rows, due, a = 0, m, end  # rows read and due in this section; chunk start
+    head = re.search(r"\S.*", text)  # the header is the first non-blank line
+    if head is None:
+        raise InvalidParameterError("empty graph file")
+    n, m, d, directed = _header(head.group().rstrip())
+    # each line below the header takes at least 4 bytes ("u v" and the
+    # newline before it), so a header that claims more rows than the text
+    # can hold allocates nothing; too few lines or a bad one is then certain
+    room = len(text) - head.end()
+    pairs = np.empty((m, 2), dtype=np.int64) if 4 * m <= room else None
+    ids = marker = None
+    found = 0  # non-blank lines below the header in earlier chunks
+    faults: dict[int, str] = {}  # rank: message of the first fault of that kind
+
+    def line(i: int) -> str:  # the chunk's line i
+        return text[a + lo[i]:a + hi[i]]
+
+    a = head.end()
     while a < len(text):
         b = text.find("\n", a + _CHUNK)
         b = len(text) if b < 0 else b
-        chunk = text[a:b].encode("ascii")
-        cls = np.frombuffer(chunk.translate(_CLASS), dtype=np.uint8)
-        other = np.flatnonzero(cls == _OTHER)
-        marker = ids is None and other.size > 0
-        if marker:
-            # only the IDS marker line may hold anything but numbers: the
-            # chunk's edge rows end before it, the next chunk starts after it
-            newlines = np.flatnonzero(cls == _NEWLINE)
-            k = np.searchsorted(newlines, other[0])
-            edges_end = int(newlines[k - 1])
-            b = a + (int(newlines[k]) if k < len(newlines) else len(cls))
-            if text[a + edges_end:b].strip() != "IDS":
-                return None
-            chunk, cls = chunk[:edges_end], cls[:edges_end]
-        elif other.size:
-            return None
-        got = _pair_rows(chunk, cls)
-        if got is None or rows + len(got) > due:
-            return None
-        if ids is None:
-            pairs[rows:rows + len(got)] = got
-        elif len(got):
-            if got[:, 0].max() >= n:
-                return None
-            ids[got[:, 0]] = got[:, 1]
-        rows += len(got)
-        if marker:
-            if rows != m or 4 * n > len(text) - b:
-                return None
-            ids, rows, due = np.full(n, -1, dtype=np.int64), 0, n
+        lo, hi, is_row, rows = _chunk_lines(text[a:b].encode("ascii"))
+        k = len(is_row)
+        # the chunk's lines [0, e) are edge rows, e the marker if it is
+        # below k, and [i0, i1) ID rows
+        e, i0, i1 = (min(max(j - found, 0), k) for j in (m, m + 1, m + n + 1))
+        if not is_row[:e].all():
+            faults.setdefault(1, f"bad edge line {line(np.argmin(is_row[:e]))!r}")
+        elif rows.dtype == object and (rows[:e] >= 2 ** 63).any():
+            faults.setdefault(2, "an edge names a vertex beyond 64 bits")
+        elif pairs is not None:
+            pairs[found:found + e] = rows[:e]
+        if e < k and found + e == m:
+            marker = line(e)
+        if i0 < i1 and not is_row[i0:i1].all():
+            faults.setdefault(4, f"bad ID line {line(i0 + np.argmin(is_row[i0:i1]))!r}")
+        # ids, like pairs, is allocated only if the text has room for its lines
+        elif i0 < i1 and (ids is not None or 4 * (m + 1 + n) <= room):
+            r0 = np.count_nonzero(is_row[:i0])
+            got = rows[r0:r0 + i1 - i0]
+            if ids is None:
+                ids = np.full(n, -1, dtype=np.int64)
+            # an object array once a chunk's IDs decode through int
+            ids = ids.astype(np.result_type(ids, got), copy=False)
+            bad = _first_repeat(got[:, 0], ids)
+            if bad < 0:
+                ids[got[:, 0].astype(np.int64)] = got[:, 1]
+            else:
+                faults.setdefault(5, f"bad or repeated vertex in ID line {line(i0 + bad)!r}")
+        found += k
         a = b
-    # n ID rows that leave no vertex without an ID name each vertex once
-    if rows != due or (ids is not None and ids.min() < 0):
-        return None
-    return n, d, directed, pairs, ids
-
-
-def _parse_lines(text: str) -> tuple:
-    """read_graph's fields, line by line; names the first bad line it meets."""
-    lines = [ln for ln in (raw.strip() for raw in text.split("\n")) if ln]
-    if not lines:
-        raise InvalidParameterError("empty graph file")
-    n, m, d, directed = _header(lines[0])
-    if len(lines) < 1 + m:
-        raise InvalidParameterError(f"expected {m} edge lines, found {len(lines) - 1}")
-    try:
-        pairs = np.array(_pair_tokens(lines[1:1 + m], "edge"), dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        raise InvalidParameterError("an edge names a vertex beyond 64 bits") from None
-
-    ids: Optional[list[Optional[int]]] = None
-    rest = lines[1 + m:]
-    if rest:
-        if rest[0] != "IDS" or len(rest) != 1 + n:
-            raise InvalidParameterError("trailing content is not a valid IDS section")
-        tokens = _pair_tokens(rest[1:], "ID")
-        ids = [None] * n
-        for ln, v, vid in zip(rest[1:], map(int, tokens[0::2]), tokens[1::2]):
-            if v >= n or ids[v] is not None:
-                raise InvalidParameterError(f"bad or repeated vertex in ID line {ln!r}")
-            ids[v] = int(vid)
+    if found < m:
+        faults[0] = f"expected {m} edge lines, found {found}"
+    elif found > m and (marker != "IDS" or found != m + 1 + n):
+        faults[3] = "trailing content is not a valid IDS section"
+    if faults:
+        raise InvalidParameterError(faults[min(faults)])
+    # with no fault, the text had room for every row: both arrays exist
     return n, d, directed, pairs, ids
 
 
 def read_graph(source: Union[str, TextIO]) -> tuple[GraphLike, Optional[Labelling]]:
     """Parse a graph file; malformed input raises InvalidParameterError.
 
-    A path is opened as ASCII text with universal newlines. The edge and
-    IDS sections are parsed at the byte level when every line below the
-    header holds two digit-only tokens of at most 18 digits (blank lines
-    aside), the IDS marker excepted. Anything else, IDs wider than 18
-    digits included, goes through a line-by-line parser, which accepts what
-    the format allows and names the first bad line it finds.
+    A path is opened as ASCII text with universal newlines. The format and
+    the parser are described in the module docstring.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="ascii") as fh:
@@ -257,13 +254,12 @@ def read_graph(source: Union[str, TextIO]) -> tuple[GraphLike, Optional[Labellin
         text = None
     if text is None or not text.isascii():
         raise InvalidParameterError("graph file is not ASCII text")
-    n, d, directed, pairs, ids = _parse_bytes(text) or _parse_lines(text)
+    n, d, directed, pairs, ids = _parse_bytes(text)
     del text
     lab = None
     if ids is not None:
         # the format carries no ID bound: IDs need only be distinct and positive
-        top = int(ids.max()) if isinstance(ids, np.ndarray) else max(ids)
-        lab = Labelling(ids, id_bound=max(n ** 3, top))
+        lab = Labelling(ids, id_bound=max(n ** 3, int(ids.max())))
     del ids
     graph = RegularGraph.from_edges(n, pairs, d=d)
     if directed:

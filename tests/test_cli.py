@@ -318,6 +318,25 @@ def test_run_rejects_negative_counts(tmp_path, capsys, flag):
     assert "must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "random", "--n", "20", "--d", "3", "--out", "{out}"],
+    ["run", "--algo", "random", "--graph", "{graph}"],
+    ["verify", "--suite", "median-floor"],
+])
+def test_negative_seeds_rejected(tmp_path, capsys, argv):
+    # random.Random(-4) seeds like random.Random(4): a negative seed would
+    # silently give a positive one's output
+    paths = {"out": str(tmp_path / "out.txt"),
+             "graph": gen(tmp_path, "g.txt", "--family", "cnd", "--n", "8", "--d", "2")}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(**paths) for arg in argv] + ["--seed", "-4"])
+    assert err.value.code == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and "must be >= 0" in errors[0]
+    assert not (tmp_path / "out.txt").exists()
+
+
 # --- exit codes -------------------------------------------------------------------
 
 # Graph files an argv below may name as {key}, written with `gen` first.

@@ -4,6 +4,7 @@ import io
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,17 +72,16 @@ def test_file_roundtrip(tmp_path):
     assert lab.ids.tolist() == list(range(1, g.n + 1))
 
 
-@pytest.mark.parametrize("id_bound,by_lines", [(2 ** 50, False), (2 ** 70, True)])
-def test_ids_above_n_cubed_roundtrip(id_bound, by_lines):
-    # the format carries no ID bound: 2^50 IDs (16 digits) take the byte
-    # parser, 2^70 IDs (22 digits) the line parser
+@pytest.mark.parametrize("id_bound,wide", [(2 ** 50, False), (2 ** 70, True)])
+def test_ids_above_n_cubed_roundtrip(id_bound, wide):
+    # the format carries no ID bound: 2^50 IDs (16 digits) decode in numpy,
+    # 2^70 IDs (22 digits) through Python int into an object array
     g = make_random_regular(2000, 5, seed=3)
     lab = random_labelling(2000, seed=5, id_bound=id_bound)
     o = make_id_orientation(g, lab)
     text = graph_to_text(o, lab)
-    with mock.patch.object(graphio, "_parse_lines", wraps=graphio._parse_lines) as lines:
-        back, lab2 = read_graph(io.StringIO(text))
-    assert lines.called == by_lines
+    back, lab2 = read_graph(io.StringIO(text))
+    assert lab2.ids.dtype == (object if wide else np.int64)
     assert lab.max_id > g.n ** 3
     assert lab2 == lab and lab2.id_bound == lab.max_id
     assert back == o and graph_to_text(back, lab2) == text
@@ -153,10 +153,16 @@ def test_file_round_trip_memory_is_bounded():
     assert large < 1.1 * small
 
 
-def test_labelling_size_mismatch():
+def test_labelling_size_mismatch(tmp_path):
     g = make_double_circulant(6, 3)
     with pytest.raises(InvalidParameterError):
         graph_to_text(g, identity_labelling(5))
+    # a rejected write to a path leaves the file as it was
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"precious\n")
+    with pytest.raises(InvalidParameterError):
+        write_graph(str(path), g, identity_labelling(5))
+    assert path.read_bytes() == b"precious\n"
 
 
 @pytest.mark.parametrize("text", [

@@ -1237,34 +1237,28 @@ def test_byte_parser_matches_line_parser(text, universal_newlines):
     "1 0 0 U\n",
     "1 0 0 U\nIDS\n0 1\n",
     "1 0 0 U",
+    # which fault is named where a text has several, in different sections
+    "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 x\n1 2\n",
+    "4 4 2 U\n0 1\n1 2\n2 3\n3 99999999999999999999\n1 2\n",
+    "4 4 2 U\n0 99999999999999999999\n1 2\n2 3\n3 x\n",
+    "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 1\n0 2\n2 3\n3 x\n",
+    "4 4 2 U\n0\n1\n2\n3\n",
+    "1 0 0 U\nIDS\n99999999999999999999 5\n",
 ])
 def test_byte_parser_matches_line_parser_on_edge_cases(text):
     for universal_newlines in (False, True):
         assert_parsers_agree(text, universal_newlines)
 
 
-def byte_parse_outcome(text):
-    """How _parse_bytes reads `text` against _parse_lines: "bytes" if it
-    returns the line parser's fields at every chunk size, "lines" if it
-    declines a text the line parser reads, "rejected" if both reject it."""
-    try:
-        want = graphio._parse_lines(text)
-    except InvalidParameterError:
-        want = None
-    outcomes = set()
+def chunked_parse_outcome(text):
+    """How read_graph reads `text` against ref_read_graph at every chunk
+    size: "parses" if it gives the reference's graph, arcs and IDs,
+    "rejected" if it raises the reference's error and message."""
+    want = parse_outcome(ref_read_graph, text, False)
     for chunk in PARSE_CHUNKS:
         with mock.patch.object(graphio, "_CHUNK", chunk):
-            got = graphio._parse_bytes(text)
-        if got is None:
-            outcomes.add("lines" if want else "rejected")
-            continue
-        assert want is not None, chunk
-        assert got[:3] == want[:3] and got[3].dtype == np.int64, chunk
-        assert got[3].tolist() == want[3].tolist(), chunk
-        assert (None if got[4] is None else got[4].tolist()) == want[4], chunk
-        outcomes.add("bytes")
-    assert len(outcomes) == 1, outcomes
-    return outcomes.pop()
+            assert parse_outcome(read_graph, text, False) == want, chunk
+    return "rejected" if want[0] == "error" else "parses"
 
 
 PARSE_BASE = "4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 5\n1 6\n2 7\n3 8\n"
@@ -1276,34 +1270,34 @@ PARSE_SPACES = "\t\v\f\r\x1c\x1d\x1e\x1f"
 def test_byte_parser_takes_each_space_byte_around_tokens(row, space):
     x, y = row.split()
     for spaced in (space + row, x + space + y, row + space, space + x + space * 2 + y + space):
-        assert byte_parse_outcome(PARSE_BASE.replace(row, spaced)) == "bytes", spaced
+        assert chunked_parse_outcome(PARSE_BASE.replace(row, spaced)) == "parses", spaced
 
 
 @pytest.mark.parametrize("text,outcome", [
     # the last token ends the text, or the edge rows the IDS marker cuts off
-    ("4 4 2 U\n0 1\n1 2\n2 3\n3 0", "bytes"),
-    (PARSE_BASE.rstrip("\n"), "bytes"),
-    (PARSE_BASE.replace("3 0\n", "3 0 \n"), "bytes"),
-    ("1 0 0 U\nIDS\n0 7", "bytes"),
+    ("4 4 2 U\n0 1\n1 2\n2 3\n3 0", "parses"),
+    (PARSE_BASE.rstrip("\n"), "parses"),
+    (PARSE_BASE.replace("3 0\n", "3 0 \n"), "parses"),
+    ("1 0 0 U\nIDS\n0 7", "parses"),
     ("4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS", "rejected"),
     ("4 4 2 U\n0 1\n1 2\n2 3\n3 0\nIDS\n0 5\n1 6\n2 7", "rejected"),
-    # tokens of 18 digits fit an int64 and parse as bytes; 19 go to the lines
-    (PARSE_BASE.replace("3 0", "000000000000000003 0"), "bytes"),
-    (PARSE_BASE.replace("3 8", "3 999999999999999999"), "bytes"),
-    (PARSE_BASE.replace("3 0", "0000000000000000003 0"), "lines"),
-    (PARSE_BASE.replace("3 8", "3 1000000000000000000"), "lines"),
+    # tokens of 18 digits decode in numpy; 19 through Python int
+    (PARSE_BASE.replace("3 0", "000000000000000003 0"), "parses"),
+    (PARSE_BASE.replace("3 8", "3 999999999999999999"), "parses"),
+    (PARSE_BASE.replace("3 0", "0000000000000000003 0"), "parses"),
+    (PARSE_BASE.replace("3 8", "3 1000000000000000000"), "parses"),
     # lines of one and of three tokens, an even count overall
     (PARSE_BASE.replace("0 1\n1 2", "0 1 1\n2"), "rejected"),
     (PARSE_BASE.replace("0 1\n1 2", "0\n1 1 2"), "rejected"),
     (PARSE_BASE.replace("2 7\n3 8", "2 7 3\n8"), "rejected"),
     (PARSE_BASE.replace("3 0\n", "3\n0\n"), "rejected"),
     # blank lines, empty or of spaces only, between rows and around the marker
-    (PARSE_BASE.replace("\n", "\n\n"), "bytes"),
-    (PARSE_BASE.replace("\n", "\n \t\x1c\r\n"), "bytes"),
-    ("\n\n" + PARSE_BASE.replace("IDS", "\n\x0b\nIDS\n\n"), "bytes"),
+    (PARSE_BASE.replace("\n", "\n\n"), "parses"),
+    (PARSE_BASE.replace("\n", "\n \t\x1c\r\n"), "parses"),
+    ("\n\n" + PARSE_BASE.replace("IDS", "\n\x0b\nIDS\n\n"), "parses"),
 ])
 def test_byte_parser_gives_the_line_parsers_arrays(text, outcome):
-    assert byte_parse_outcome(text) == outcome
+    assert chunked_parse_outcome(text) == outcome
 
 
 # --- validation -------------------------------------------------------------------
