@@ -56,7 +56,6 @@ from .errors import (
     InvariantError,
     LocalcutError,
     NonTerminationError,
-    SearchNotFoundError,
     UnsupportedDegreeError,
 )
 from .generators import (

@@ -1,8 +1,8 @@
 """Quantitative guarantees, checked in exact arithmetic.
 
 Every floor and ratio is a Fraction; every inequality check compares
-integers. Floats never decide a verdict (log_star is the one place floats
-appear, and only below 2^53 where they are exact enough for iterated logs).
+integers. Floats never decide a verdict: log_star takes the ceiling of its
+argument once and then iterates exact integer bit lengths.
 The flip decomposition holds its sets as boolean masks, built with array
 expressions and counted with np.count_nonzero. Claim 2's window floor is
 written once, doubled so it is an integer; `window_edge_counts` gives the
@@ -232,23 +232,17 @@ def tower(k: int, x: int) -> int:
     return value
 
 
-def _log2_exactish(x) -> float:
-    """log2 that survives huge ints; exact when x is a power of two."""
-    if isinstance(x, int) and x > 0:
-        bits = x.bit_length()
-        if x == 1 << (bits - 1):
-            return float(bits - 1)
-        if bits > 53:
-            # scale into float range; good to ~1e-15, plenty for log*
-            return (bits - 53) + math.log2(x >> (bits - 53))
-    return math.log2(x)
-
-
 def log_star(x) -> int:
-    """Iterations of base-2 log until the value drops to 1 or below."""
+    """Iterations of base-2 log until the value drops to 1 or below.
+
+    Exact for any real x: every threshold of log* is an integer tower, so
+    log*(x) = log*(ceil(x)), and for an integer x >= 2 the ceiling of
+    log2(x) is (x - 1).bit_length().
+    """
     count = 0
+    x = math.ceil(x)
     while x > 1:
-        x = _log2_exactish(x)
+        x = (x - 1).bit_length()
         count += 1
     return count
 

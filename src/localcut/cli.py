@@ -1,7 +1,8 @@
 """Command-line harness: gen / run / verify / oracle.
 
 Exit codes: 0 success, 1 a checked guarantee failed, 2 bad usage or
-parameters, 3 budget or search exhaustion, or running out of memory.
+parameters, 3 a blown budget, an instance a generator cannot build, or
+running out of memory.
 Results are flat JSON records on stdout (and optionally --out) with stable
 field names.
 """
@@ -31,7 +32,6 @@ from .errors import (
     InvalidParameterError,
     InvariantError,
     LocalcutError,
-    SearchNotFoundError,
 )
 from .generators import (
     make_abcd_instance,
@@ -306,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_code(exc: Exception) -> int:
     if isinstance(exc, (InvalidParameterError, OSError)):
         return 2
-    if isinstance(exc, (BudgetError, SearchNotFoundError, ConstructionError,
-                        MemoryError)):
+    if isinstance(exc, (BudgetError, ConstructionError, MemoryError)):
         return 3
     return 1
 

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: parameter problems exit 2, budget and
-search-exhaustion problems exit 3, failed verification and failed internal
+construction problems exit 3, failed verification and failed internal
 cross-checks exit 1.
 """
 
@@ -24,10 +24,6 @@ class ConstructionError(LocalcutError):
 
 class BudgetError(LocalcutError):
     """Instance exceeds an enumeration or search budget."""
-
-
-class SearchNotFoundError(LocalcutError):
-    """Search exhausted its budget without meeting the target."""
 
 
 class CongestionError(LocalcutError):

@@ -24,19 +24,17 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConstructionError,
-    InvalidParameterError,
-    InvariantError,
-    SearchNotFoundError,
-)
+from .algorithms import oriented_median_cut, oriented_median_plus_flips
+from .errors import ConstructionError, InvalidParameterError, InvariantError
 from .graphs import (
+    Cut,
     Labelling,
     Orientation,
     RegularGraph,
     _require_vertex_count,
     coin_flips,
     component_offsets,
+    dicut_size,
 )
 
 
@@ -391,6 +389,30 @@ def _realize_bipartite(out_quota: Mapping[int, int], in_quota: Mapping[int, int]
     ]
 
 
+def _certified(o: Orientation, plus: Sequence[int], planted: Sequence[int],
+               flips: int) -> Orientation:
+    """Return o once it is a sharpness instance for the deficit rule and
+    `flips` rounds of unstable flips; raise ConstructionError otherwise.
+
+    Checks that the deficit cut puts exactly `plus` on the left, that it and
+    each flip round cut n/2 arcs, and that CUT_0 (d^2+1) = 2d dicut(W) for
+    the planted cut W with `planted` on the left. Then CUT_0 is
+    2d/(d^2+1) times a lower bound on OPT; as the rule never does worse
+    than that ratio, dicut(W) is OPT. No oracle is needed at any size.
+    """
+    n, d = o.graph.n, o.graph.d
+    _, sizes = oriented_median_plus_flips(o, flips)
+    witness = dicut_size(o, Cut.from_left_set(n, planted))
+    if not (oriented_median_cut(o) == Cut.from_left_set(n, plus)
+            and all(size == n // 2 for size in sizes)
+            and sizes[0] * (d * d + 1) == 2 * d * witness):
+        raise ConstructionError(
+            f"{o.graph.family} instance failed its certificate: "
+            f"cuts {sizes} after 0..{flips} flip rounds, planted cut {witness}"
+        )
+    return o
+
+
 def abcd_sets(d: int, n: int) -> tuple[range, range, range, range]:
     """Vertex ranges (A, B, C, D) used by make_abcd_instance."""
     if d < 3 or d % 2 == 0:
@@ -415,13 +437,13 @@ def make_abcd_instance(d: int, n: int) -> Orientation:
     ((d-1)^2 n/8d each), D->A and B->C ((d^2-1) n/8d each). Every vertex of
     A and D ends up with deficit +1, every vertex of B and C with -1, so the
     deficit cut is (A u D, B u C) with exactly the n/2 A->B arcs crossing,
-    while (A u C, B u D) catches (d^2+1)/2d * n/2 arcs.
+    while (A u C, B u D) catches (d^2+1)/2d * n/2 arcs. Checked by
+    _certified before returning.
     """
     A, B, C, D = abcd_sets(d, n)
     t = n // (4 * d)
     ab = n // 2
     ad = (d - 1) ** 2 * t // 2
-    da = (d * d - 1) * t // 2
     out_hi, in_lo = (d + 1) // 2, (d - 1) // 2
 
     # A's out-degree (d+1)/2 splits between B and D; the split varies by
@@ -453,17 +475,7 @@ def make_abcd_instance(d: int, n: int) -> Orientation:
     )
 
     graph = RegularGraph.from_edges(n, arcs, d=d, family="abcd", family_params=(d, n))
-    o = Orientation(graph, arcs)
-    want = np.full(n, -1)
-    want[A.start:A.stop] = want[D.start:D.stop] = 1
-    wrong = np.flatnonzero(o.deficits != want)
-    if wrong.size:
-        v = wrong[0]
-        raise ConstructionError(f"vertex {v} has deficit {o.deficits[v]}")
-    from_d = np.count_nonzero((o.arcs[:, 0] >= D.start) & (o.arcs[:, 0] < D.stop))
-    if from_d != da:
-        raise ConstructionError(f"{from_d} arcs leave D, expected {da}")
-    return o
+    return _certified(Orientation(graph, arcs), [*A, *D], [*A, *C], 0)
 
 
 def make_extremal_labelling(g: RegularGraph) -> Labelling:
@@ -518,30 +530,22 @@ def stuck_sets(d: int) -> dict[str, range]:
     return dict(zip(keys, bounds))
 
 
-def make_single_flip_stuck_instance(d: int, oracle_budget: int = 24) -> Orientation:
+def make_single_flip_stuck_instance(d: int) -> Orientation:
     """Worst-ratio instance on which one round of flips changes nothing.
 
     Refines the four-set instance: the A->D and C->B arcs that a flip would
     add to the cut are rerouted through unstable subclasses A_u and B_u, so
     no arc runs from a stable vertex into an unstable one on the plus side
-    (or out of an unstable one on the minus side). The deficit cut still has
-    exactly n/2 arcs and the optimum is still (d^2+1)/2d times that, so
-    CUT_0 = CUT_1 = 2/(d + 1/d) * OPT. Verified against the brute-force
-    oracle before returning; raises SearchNotFoundError when the smallest
-    such instance exceeds the oracle budget (n = 30 already for d = 5).
+    (or out of an unstable one on the minus side). The deficit cut (A_s u
+    A_u u D on the left) has exactly n/2 arcs before and after one flip
+    round, and the planted cut with A_s u A_u u C on the left has
+    (d^2+1)/2d times as many, so CUT_0 = CUT_1 <= 2/(d + 1/d) * OPT; the
+    planted cut equals OPT wherever the exact oracle reaches (d = 3, 5).
+    Checked by _certified before returning, with no oracle call.
     """
-    from .algorithms import oriented_median_cut, unstable_flip_step
-    from .graphs import Cut, LEFT, RIGHT, dicut_size
-    from .oracle import max_dicut_exact
-
     sets = stuck_sets(d)
     A_s, A_u, B_s, B_u, C, D = (sets[k] for k in ("A_s", "A_u", "B_s", "B_u", "C", "D"))
     n = 2 * (len(A_s) + len(A_u) + len(D))
-    if n > oracle_budget:
-        raise SearchNotFoundError(
-            f"smallest single-flip-stuck instance for d={d} has {n} vertices, "
-            f"beyond the dicut oracle budget of {oracle_budget}"
-        )
     out_hi, in_lo = (d + 1) // 2, (d - 1) // 2
 
     arcs: list[tuple[int, int]] = []
@@ -575,16 +579,4 @@ def make_single_flip_stuck_instance(d: int, oracle_budget: int = 24) -> Orientat
     graph = RegularGraph.from_edges(
         n, arcs, d=d, family="single_flip_stuck", family_params=(d, n)
     )
-    o = Orientation(graph, arcs)
-
-    c0 = oriented_median_cut(o)
-    want = Cut([LEFT if (v in A_s or v in A_u or v in D) else RIGHT for v in range(n)])
-    cut0 = dicut_size(o, c0)
-    cut1 = dicut_size(o, unstable_flip_step(o, c0))
-    opt, _ = max_dicut_exact(o, budget=oracle_budget)
-    if not (c0 == want and cut0 == n // 2 and cut1 == cut0
-            and cut0 * (d * d + 1) == opt * 2 * d):
-        raise ConstructionError(
-            f"stuck instance failed verification: cut0={cut0}, cut1={cut1}, opt={opt}"
-        )
-    return o
+    return _certified(Orientation(graph, arcs), [*A_s, *A_u, *D], [*A_s, *A_u, *C], 1)

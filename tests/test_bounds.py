@@ -219,6 +219,18 @@ def test_log_star_values():
     assert log_star(0.5) == 0
 
 
+TOWERS = [1, 2, 4, 16, 65536, 1 << 65536]  # T_0 .. T_5, T_k = 2^T_(k-1)
+
+
+@pytest.mark.parametrize("k", range(len(TOWERS)))
+def test_log_star_is_exact_around_each_tower(k):
+    t = TOWERS[k]
+    assert log_star(t) == k
+    assert log_star(t + 1) == k + 1
+    # T_k - 1 still exceeds T_(k-1) from k = 2 on
+    assert log_star(t - 1) == (k if k >= 2 else 0)
+
+
 @pytest.mark.parametrize("k,n", [(1, 1), (2, 3), (3, 1), (3, 4), (4, 2), (5, 2)])
 def test_tower_log_star_identity(k, n):
     assert log_star(tower(k, n)) == k - 1 + log_star(n)

@@ -15,7 +15,6 @@ from localcut import (
     InvariantError,
     LocalcutError,
     NonTerminationError,
-    SearchNotFoundError,
     UnsupportedDegreeError,
     cli as cli_mod,
     median_cut,
@@ -85,8 +84,13 @@ def test_gen_rejects_bad_params(tmp_path, capsys):
     expect_exit(tmp_path, capsys, "gen-stuck1flip-even-d")
 
 
-def test_gen_stuck_over_budget_is_exit_3(tmp_path, capsys):
-    expect_exit(tmp_path, capsys, "gen-stuck1flip-over-budget")
+@pytest.mark.parametrize("d,n", [(5, 30), (7, 56)])
+def test_gen_stuck1flip_past_the_oracle(tmp_path, capsys, d, n):
+    path = gen(tmp_path, "g.txt", "--family", "stuck1flip", "--d", str(d))
+    rec = record_from(capsys)
+    assert (rec["n"], rec["d"], rec["directed"]) == (n, d, True)
+    with open(path) as fh:
+        assert fh.readline().split() == [str(n), str(n * d // 2), str(d), "D"]
 
 
 def test_gen_unwritable_path_is_exit_2(tmp_path, capsys):
@@ -359,8 +363,6 @@ EXIT_CODES = {
                              "--out", "{tmp}/no/such/dir.txt"], 2),
     "gen-random-n-past-2^32": (["gen", "--family", "random", "--n", "4294967296",
                                 "--d", "0", "--out", "{out}"], 2),
-    "gen-stuck1flip-over-budget": (["gen", "--family", "stuck1flip", "--d", "5",
-                                    "--out", "{out}"], 3),
     "run-median-even-d": (["run", "--algo", "median", "--graph", "{cnd}"], 2),
     "run-median-ids-file-missing": (["run", "--algo", "median", "--graph", "{random}",
                                      "--ids", "file"], 2),
@@ -404,7 +406,6 @@ def test_exit_code_table(tmp_path, capsys, case):
     (UnsupportedDegreeError("bad"), 2),
     (FileNotFoundError("gone"), 2),
     (BudgetError("big"), 3),
-    (SearchNotFoundError("none"), 3),
     (ConstructionError("stuck"), 3),
     (CongestionError(0, 1, 2, 3, 1), 1),
     (NonTerminationError("slow"), 1),

@@ -14,7 +14,6 @@ from localcut import (
     InvalidParameterError,
     InvariantError,
     Orientation,
-    SearchNotFoundError,
     abcd_sets,
     complete_graph,
     cut_size,
@@ -31,17 +30,19 @@ from localcut import (
     make_random_regular,
     make_random_regular_union,
     make_single_flip_stuck_instance,
+    max_dicut_exact,
     median_cut,
     orient_clockwise,
     oriented_median_cut,
     oriented_median_plus_flips,
+    oriented_ratio,
     stuck_sets,
 )
 import localcut
 from localcut import generators as generators_mod, graphs as graphs_mod
 from localcut.graphs import component_offsets
 from localcut.verify import _draw_case, _oriented_unions, verify_constructions
-from localcut.generators import _pairing_round, _realize_bipartite
+from localcut.generators import _certified, _pairing_round, _realize_bipartite
 
 from conftest import peak_bytes, ref_validate_regular
 
@@ -426,9 +427,53 @@ def test_stuck_instance_d3():
     assert sizes[2] == 20  # = OPT; the second flip undoes the damage
 
 
-def test_stuck_instance_d5_exceeds_budget():
-    with pytest.raises(SearchNotFoundError):
-        make_single_flip_stuck_instance(5)
+def stuck_cut_sets(d):
+    """The deficit cut's left side and the planted cut's left side."""
+    sets = stuck_sets(d)
+    plus = [*sets["A_s"], *sets["A_u"], *sets["D"]]
+    planted = [*sets["A_s"], *sets["A_u"], *sets["C"]]
+    return plus, planted
+
+
+def test_stuck_instance_d5_planted_cut_is_the_oracles_opt():
+    o = make_single_flip_stuck_instance(5)
+    n = o.graph.n
+    assert n == 30
+    opt, _ = max_dicut_exact(o, budget=30)
+    _, planted = stuck_cut_sets(5)
+    assert dicut_size(o, Cut.from_left_set(n, planted)) == opt == 39
+    _, sizes = oriented_median_plus_flips(o, 1)
+    assert sizes == (15, 15)
+    assert sizes[0] == oriented_ratio(5) * opt
+
+
+@pytest.mark.parametrize("d,n", [(7, 56), (9, 90)])
+def test_stuck_instance_past_the_oracle(d, n):
+    o = make_single_flip_stuck_instance(d)
+    assert o.graph.n == n
+    assert ref_validate_regular(o.graph.adj.tolist(), d)
+    _, sizes = oriented_median_plus_flips(o, 1)
+    assert sizes == (n // 2, n // 2)
+
+
+def test_certificate_rejects_a_wrong_planted_set():
+    o = make_single_flip_stuck_instance(3)
+    plus, planted = stuck_cut_sets(3)
+    assert _certified(o, plus, planted, 1) is o
+    with pytest.raises(ConstructionError, match="certificate"):
+        _certified(o, plus, plus, 1)
+    A, B, C, D = abcd_sets(3, 12)
+    with pytest.raises(ConstructionError, match="certificate"):
+        _certified(make_abcd_instance(3, 12), [*A, *D], [*A, *D], 0)
+
+
+def test_certificate_rejects_one_reversed_arc():
+    o = make_single_flip_stuck_instance(3)
+    plus, planted = stuck_cut_sets(3)
+    arcs = o.arcs.tolist()
+    arcs[0] = arcs[0][::-1]
+    with pytest.raises(ConstructionError, match="certificate"):
+        _certified(Orientation(o.graph, arcs), plus, planted, 1)
 
 
 def test_stuck_instance_rejects_even_degree():
