@@ -3,17 +3,18 @@
 Exit codes: 0 success, 1 a checked guarantee failed, 2 bad usage or
 parameters, 3 a blown budget, an instance a generator cannot build, or
 running out of memory.
-Results are flat JSON records on stdout (and optionally --out) with stable
-field names.
+Results are flat JSON records on stdout (and optionally --out, which is
+opened before the work) with stable field names.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, TextIO
 
 from . import verify as verify_mod
 from .algorithms import (
@@ -55,12 +56,13 @@ from .graphs import (
 from .oracle import enumerate_max_dicuts, max_cut_exact, max_dicut_exact
 
 
-def _emit(record: dict, out: Optional[str]) -> None:
+def _emit(record: dict, out: Optional[TextIO]) -> None:
+    """Print the record, after writing it to the open --out file if any."""
     text = json.dumps(record, indent=2, sort_keys=True)
+    if out is not None:
+        out.write(text + "\n")
+        out.flush()
     print(text)
-    if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
 
 
 def _non_negative_int(text: str) -> int:
@@ -207,7 +209,7 @@ def cmd_run(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidParameterError(f"unknown algorithm {args.algo}")
 
-    _emit(record, args.out)
+    _emit(record, args.record_file)
     return 0 if record.get("pass", True) else 1
 
 
@@ -221,7 +223,7 @@ def cmd_verify(args) -> int:
         }
     else:
         record = verify_mod.SUITES[args.suite](seed=args.seed)
-    _emit(record, args.out)
+    _emit(record, args.record_file)
     return 0 if record["pass"] else 1
 
 
@@ -244,7 +246,7 @@ def cmd_oracle(args) -> int:
         record["problem"] = "maxcut"
     record["opt"] = opt
     record["pass"] = True
-    _emit(record, args.out)
+    _emit(record, args.record_file)
     return 0
 
 
@@ -284,20 +286,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-message bit limit; serializes the median rule")
     p.add_argument("--with-opt", action="store_true",
                    help="also brute-force OPT and check ratio floors")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="record_path", metavar="PATH", default=None,
+                   help="also write the record to this file")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
                    choices=sorted(verify_mod.SUITES) + ["all"])
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="record_path", metavar="PATH", default=None,
+                   help="also write the record to this file")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle", help="exact MaxCut/MaxDiCut of a graph file")
     p.add_argument("--graph", required=True)
     p.add_argument("--all-witnesses", action="store_true")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="record_path", metavar="PATH", default=None,
+                   help="also write the record to this file")
     p.set_defaults(fn=cmd_oracle)
 
     return parser
@@ -313,8 +318,13 @@ def _exit_code(exc: Exception) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    path = getattr(args, "record_path", None)
     try:
-        return args.fn(args)
+        # Like a shell redirect, --out is opened before the work: an
+        # unusable path exits 2 without doing it or printing a record.
+        with (open(path, "w", encoding="ascii") if path
+              else contextlib.nullcontext()) as args.record_file:
+            return args.fn(args)
     except (LocalcutError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _exit_code(exc)

@@ -375,6 +375,11 @@ EXIT_CODES = {
     "oracle-negative-header": (["oracle", "--graph", "{bad_header}"], 2),
     "oracle-over-budget": (["oracle", "--graph", "{random32}"], 3),
     "oracle-all-witnesses-undirected": (["oracle", "--graph", "{cnd}", "--all-witnesses"], 2),
+    "run-out-in-missing-dir": (["run", "--algo", "random", "--graph", "{random}",
+                                "--out", "{tmp}/no/such/dir.json"], 2),
+    "verify-out-in-missing-dir": (["verify", "--suite", "claim1",
+                                   "--out", "{tmp}/no/such/dir.json"], 2),
+    "oracle-out-is-a-directory": (["oracle", "--graph", "{cnd}", "--out", "{tmp}"], 2),
 }
 
 
@@ -399,6 +404,19 @@ def expect_exit(tmp_path, capsys, case):
 @pytest.mark.parametrize("case", sorted(EXIT_CODES))
 def test_exit_code_table(tmp_path, capsys, case):
     expect_exit(tmp_path, capsys, case)
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("cmd_run", ["run", "--algo", "random", "--graph", "g.txt"]),
+    ("cmd_verify", ["verify", "--suite", "claim1"]),
+    ("cmd_oracle", ["oracle", "--graph", "g.txt"]),
+], ids=["run", "verify", "oracle"])
+def test_unusable_out_exits_2_before_the_work(monkeypatch, tmp_path, capsys, command, argv):
+    ran = []
+    monkeypatch.setattr(cli_mod, command, ran.append)
+    assert main([*argv, "--out", str(tmp_path / "no" / "such.json")]) == 2
+    assert ran == []
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("error,code", [

@@ -144,6 +144,10 @@ def block_cells_for(block_cells, n):
     return 2 << (n // 2) if block_cells == "two-rows" else block_cells
 
 
+def block_shapes(n, arcs, masks) -> list[tuple[int, int]]:
+    return [part.shape for _, part, _ in oracle._dicut_blocks(n, arcs, masks)]
+
+
 @pytest.mark.parametrize("block_cells", [ONE_BLOCK, 8, "two-rows"])
 @given(orientations_up_to_16())
 @settings(max_examples=60)
@@ -153,6 +157,13 @@ def test_kernel_matches_per_arc_reference(block_cells, o):
     acc = per_arc_dicut_sizes(o)
     best = int(acc.max())
     with mock.patch.object(oracle, "_BLOCK_BYTES", block_cells_for(block_cells, n)):
+        shapes = block_shapes(n, o.arcs, 1 << n)
+        if block_cells == ONE_BLOCK:
+            assert shapes == [(1 << n >> n // 2, 1 << n // 2)]
+        elif block_cells == 8:  # 8 cells a block, or one row of 2^k
+            assert {rows * cols for rows, cols in shapes} == {min(1 << n, max(8, 1 << n // 2))}
+        else:
+            assert {rows for rows, _ in shapes} == {2}
         assert np.array_equal(kernel_scores(n, o.arcs, 1 << n), acc)
         assert max_dicut_exact(o) == (best, mask_cut(np.argmax(acc), n))
         assert_ties(enumerate_max_dicuts(o), best, np.flatnonzero(acc == best), n)
@@ -174,10 +185,11 @@ def test_kernel_matches_per_arc_reference_across_default_blocks():
     assert max_dicut_exact(o) == (int(acc.max()), mask_cut(np.argmax(acc), 20))
 
 
-@given(st.integers(min_value=1, max_value=9), st.data())
-@settings(max_examples=40)
+@given(st.integers(min_value=1, max_value=17), st.data())
+@settings(max_examples=25)
 def test_kernel_matches_per_arc_reference_on_multigraphs(n, data):
-    # Loops and parallel arcs, as a quotient multigraph would have them.
+    # Loops and parallel arcs, as a quotient multigraph would have them, up
+    # to n=17, past the one-block instances.
     arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                               max_size=40))
     arcs = np.array(arcs, dtype=np.int64).reshape(-1, 2)
@@ -245,13 +257,22 @@ def test_pruned_scan_matches_unpruned_stream(make):
 
 
 def test_pruned_scan_skips_rows():
-    # ABCD(3, 24) scores 3 of its 64 blocks of 64 rows, 192 of 4096 rows:
-    # block 0 finds 18 of OPT = 20, block 4 finds 19 and block 12 finds 20.
-    o = make_abcd_instance(3, 24)
-    rows = []
-    with mock.patch.object(oracle, "_dicut_blocks", counting_kernel(rows)):
-        assert max_dicut_exact(o)[0] == 20
-    assert 0 < sum(rows) < (1 << 12) // 10
+    # The rows of each block scored, pinned: losing a skip, or a change of
+    # the block size, changes the list.
+    r22 = make_random_orientation(make_random_regular(22, 5, seed=1), seed=2)
+    for solve, rows in [
+        # 3 of 64 blocks: block 0 finds 18 of OPT = 20, then 19 and 20.
+        (lambda: max_dicut_exact(make_abcd_instance(3, 24)), [64] * 3),
+        # 2 of 16 blocks: the first finds OPT = 26.
+        (lambda: max_dicut_exact(make_abcd_instance(5, 20)), [64] * 2),
+        (lambda: max_dicut_exact(r22), [64] * 18),  # of 32
+        # A non-bipartite MaxCut: no bound falls below OPT, so all 32 blocks.
+        (lambda: max_cut_exact(make_random_regular(24, 3, seed=1)), [64] * 32),
+    ]:
+        scored = []
+        with mock.patch.object(oracle, "_dicut_blocks", counting_kernel(scored)):
+            solve()
+        assert scored == rows
 
 
 @pytest.mark.parametrize("arc", [(0, 1), (1, 0), (0, 0)])
