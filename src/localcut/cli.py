@@ -144,7 +144,14 @@ def _start_cut(args, g) -> Cut:
     return random_cut(g, seed=args.seed)
 
 
+# The algorithms whose record `--with-opt` extends with OPT and a ratio floor.
+WITH_OPT_ALGOS = ("oriented-median", "om-flips")
+
+
 def cmd_run(args) -> int:
+    if args.with_opt and args.algo not in WITH_OPT_ALGOS:
+        raise InvalidParameterError(
+            f"--with-opt applies to --algo {' and '.join(WITH_OPT_ALGOS)} only")
     obj, g, lab_file = _load(args.graph)
     record: dict = {"algo": args.algo, "n": g.n, "m": g.m, "d": g.d}
 
@@ -285,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--congest-b", type=int, default=None,
                    help="per-message bit limit; serializes the median rule")
     p.add_argument("--with-opt", action="store_true",
-                   help="also brute-force OPT and check ratio floors")
+                   help="also brute-force MaxDiCut OPT and check the ratio floor "
+                        "(oriented-median and om-flips only)")
     p.add_argument("--out", dest="record_path", metavar="PATH", default=None,
                    help="also write the record to this file")
     p.set_defaults(fn=cmd_run)

@@ -370,6 +370,11 @@ EXIT_CODES = {
                                 "--ids", "file", "--congest-b", "0"], 2),
     "run-oriented-median-undirected": (["run", "--algo", "oriented-median",
                                         "--graph", "{dnd}"], 2),
+    "run-median-with-opt": (["run", "--algo", "median", "--graph", "{dnd}", "--with-opt"], 2),
+    "run-dflip-with-opt": (["run", "--algo", "dflip", "--graph", "{random}", "--with-opt"], 2),
+    "run-seqflip-with-opt": (["run", "--algo", "seqflip", "--graph", "{random}",
+                              "--with-opt"], 2),
+    "run-random-with-opt": (["run", "--algo", "random", "--graph", "{random}", "--with-opt"], 2),
     "oracle-missing-file": (["oracle", "--graph", "{tmp}/not/here.txt"], 2),
     "oracle-directory": (["oracle", "--graph", "{tmp}"], 2),
     "oracle-negative-header": (["oracle", "--graph", "{bad_header}"], 2),

@@ -115,11 +115,11 @@ def kernel_scores(n, arcs, masks) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def unpruned_best(n, arcs) -> tuple[int, np.ndarray]:
+def unpruned_best(n, arcs, masks) -> tuple[int, np.ndarray]:
     """The best dicut size over the kernel's unpruned stream and every mask
     that reaches it, ascending; block by block, so n=24 fits in memory."""
     best, ties = -1, []
-    for first, part, hi_rows in oracle._dicut_blocks(n, arcs, 1 << n):
+    for first, part, hi_rows in oracle._dicut_blocks(n, arcs, masks):
         scores = (part + hi_rows[:, None].astype(np.int64)).ravel()
         masks = first + np.arange(part.size)
         t = int(scores.max())
@@ -189,17 +189,47 @@ def test_kernel_matches_per_arc_reference_across_default_blocks():
 @settings(max_examples=25)
 def test_kernel_matches_per_arc_reference_on_multigraphs(n, data):
     # Loops and parallel arcs, as a quotient multigraph would have them, up
-    # to n=17, past the one-block instances.
+    # to n=17, past the one-block instances; 2^(n-1) masks pin vertex n-1
+    # RIGHT as MaxCut does, and leave one high vertex fewer.
     arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                               max_size=40))
     arcs = np.array(arcs, dtype=np.int64).reshape(-1, 2)
-    acc = per_arc_sizes(n, arcs)
+    masks = data.draw(st.sampled_from([1 << n, 1 << (n - 1)]))
+    acc = per_arc_sizes(n, arcs)[:masks]
     best = int(acc.max())
     with mock.patch.object(oracle, "_BLOCK_BYTES", data.draw(st.sampled_from([8, ONE_BLOCK]))):
-        assert np.array_equal(kernel_scores(n, arcs, 1 << n), acc)
-        assert oracle._best_dicut(n, arcs, 1 << n) == (best, mask_cut(np.argmax(acc), n))
-        size, masks = oracle._best_masks(n, arcs)
-        assert size == best and np.array_equal(masks, np.flatnonzero(acc == best))
+        assert np.array_equal(kernel_scores(n, arcs, masks), acc)
+        assert oracle._best_dicut(n, arcs, masks) == (best, mask_cut(np.argmax(acc), n))
+        if masks == 1 << n:
+            size, ties = oracle._best_masks(n, arcs)
+            assert size == best and np.array_equal(ties, np.flatnonzero(acc == best))
+
+
+@pytest.mark.parametrize("block_cells", [8, 64, "two-rows"])
+def test_kernel_scores_every_block_that_reaches_the_wanted_score(block_cells):
+    # A block is skipped only if its bound, and so every score in it, is
+    # below the score wanted: checked block by block against the per-arc
+    # scores, for each wanted score from 0 to one past OPT, so a bound below
+    # a block's best score fails here even where the solvers' answers hold.
+    # 100 seeded multigraphs (loops and parallel arcs), every other one
+    # with each arc both ways, as MaxCut has them, where bound (2) does the
+    # work; 8 and 64 cells give one-row blocks and groups of one block for
+    # most n, "two-rows" groups of two blocks.
+    rng = np.random.default_rng(1)
+    for case in range(100):
+        n = int(rng.integers(2, 15))
+        arcs = rng.integers(0, n, size=(int(rng.integers(0, 61)), 2))
+        if case % 2:
+            arcs = np.vstack([arcs[:30], arcs[:30, ::-1]])
+        masks = int(rng.choice([1 << n, 1 << (n - 1)]))
+        acc = per_arc_sizes(n, arcs)[:masks]
+        with mock.patch.object(oracle, "_BLOCK_BYTES", block_cells_for(block_cells, n)):
+            size = next(oracle._dicut_blocks(n, arcs, masks))[1].size
+            tops = acc.reshape(-1, size).max(axis=1)
+            for want in range(int(acc.max()) + 2):
+                scored = {first // size for first, _, _ in
+                          oracle._dicut_blocks(n, arcs, masks, lambda: want)}
+                assert set(np.flatnonzero(tops >= want)) <= scored, (case, want)
 
 
 @pytest.mark.parametrize("count", [127, 128])
@@ -212,6 +242,9 @@ def test_kernel_matches_per_arc_reference_on_multigraphs(n, data):
     lambda a: [(0, 3)] * a,
     # OPT = A in every block: four ties across the high half.
     lambda a: [(0, 1)] * a,
+    # (2)'s column term reaches A where block 0 leaves high vertex 2 free:
+    # 2 adds every arc on the LEFT against every low subset without 0.
+    lambda a: [(2, 0)] * a,
 ])
 @pytest.mark.parametrize("block_cells", [8, ONE_BLOCK])
 def test_pruned_kernel_at_the_int8_limit(count, arcs_of, block_cells):
@@ -247,13 +280,21 @@ def counting_kernel(rows: list):
     lambda: make_abcd_instance(3, 24),
     lambda: make_single_flip_stuck_instance(3),
     lambda: orient_clockwise(make_double_circulant(6, 3)),
-], ids=["abcd3-12", "abcd5-20", "abcd3-24", "stuck3", "clockwise-D12"])
+    lambda: make_random_orientation(make_random_regular(22, 5, seed=1), seed=2),
+    lambda: make_random_regular(24, 3, seed=1),
+], ids=["abcd3-12", "abcd5-20", "abcd3-24", "stuck3", "clockwise-D12", "r22", "maxcut-c24"])
 def test_pruned_scan_matches_unpruned_stream(make):
-    o = make()
-    n = o.graph.n
-    best, ties = unpruned_best(n, o.arcs)
-    assert max_dicut_exact(o, budget=n) == (best, mask_cut(ties[0], n))
-    assert_ties(enumerate_max_dicuts(o, budget=n), best, ties, n)
+    x = make()
+    if isinstance(x, Orientation):
+        n = x.graph.n
+        best, ties = unpruned_best(n, x.arcs, 1 << n)
+        assert max_dicut_exact(x, budget=n) == (best, mask_cut(ties[0], n))
+        assert_ties(enumerate_max_dicuts(x, budget=n), best, ties, n)
+    else:  # MaxCut: both arcs of every edge, vertex n-1 pinned RIGHT
+        n, e = x.n, x.edges()
+        assert not is_bipartite(x)[0]
+        best, ties = unpruned_best(n, np.vstack([e, e[:, ::-1]]), 1 << (n - 1))
+        assert max_cut_exact(x) == (best, mask_cut(ties[0], n))
 
 
 def test_pruned_scan_skips_rows():
@@ -263,16 +304,42 @@ def test_pruned_scan_skips_rows():
     for solve, rows in [
         # 3 of 64 blocks: block 0 finds 18 of OPT = 20, then 19 and 20.
         (lambda: max_dicut_exact(make_abcd_instance(3, 24)), [64] * 3),
-        # 2 of 16 blocks: the first finds OPT = 26.
-        (lambda: max_dicut_exact(make_abcd_instance(5, 20)), [64] * 2),
-        (lambda: max_dicut_exact(r22), [64] * 18),  # of 32
-        # A non-bipartite MaxCut: no bound falls below OPT, so all 32 blocks.
-        (lambda: max_cut_exact(make_random_regular(24, 3, seed=1)), [64] * 32),
+        # 1 of 16 blocks: the first finds OPT = 26, and no other bound
+        # reaches 27.
+        (lambda: max_dicut_exact(make_abcd_instance(5, 20)), [64] * 1),
+        (lambda: max_dicut_exact(r22), [64] * 2),  # of 32
+        # A non-bipartite MaxCut, OPT = 32: bound (1) alone skips none of
+        # the 32 blocks, the smaller of (1) and (2) all but 5.
+        (lambda: max_cut_exact(make_random_regular(24, 3, seed=1)), [64] * 5),
     ]:
         scored = []
         with mock.patch.object(oracle, "_dicut_blocks", counting_kernel(scored)):
             solve()
         assert scored == rows
+
+
+@pytest.mark.parametrize("block_bytes,calls,rows", [
+    (1 << 12, 88, [1] * 2),  # 2^11 one-row blocks, a group each
+    (1 << 14, 75, [4] * 3),  # 2^9 blocks of 4 rows, 2^7 groups of 4
+])
+def test_group_bounds_skip_runs_of_groups(block_bytes, calls, rows):
+    # The seed-1 cubic n=24 MaxCut in blocks small enough that its blocks
+    # outnumber the buffer's rows, scanned for OPT = 32 throughout: the
+    # decisions taken (calls of `need`) and the rows of each block scored,
+    # pinned. A looser bound on groups or runs of them takes more decisions,
+    # one below a score in them loses a block that reaches OPT.
+    g = make_random_regular(24, 3, seed=1)
+    e = g.edges()
+    wanted = []
+
+    def need():
+        wanted.append(32)
+        return 32
+
+    with mock.patch.object(oracle, "_BLOCK_BYTES", block_bytes):
+        scored = [len(part) for _, part, _ in
+                  oracle._dicut_blocks(24, np.vstack([e, e[:, ::-1]]), 1 << 23, need)]
+    assert (len(wanted), scored) == (calls, rows)
 
 
 @pytest.mark.parametrize("arc", [(0, 1), (1, 0), (0, 0)])
