@@ -12,13 +12,12 @@ FLIP and maximality share one per-vertex count, `same_side_counts`.
 from __future__ import annotations
 
 import heapq
-import random
 
 import numpy as np
 
 from .errors import InvalidParameterError, InvariantError, UnsupportedDegreeError
 from .graphs import (Cut, LEFT, Labelling, Orientation, RIGHT, RegularGraph,
-                     coin_flips, dicut_size, same_side_counts)
+                     _seeded, coin_flips, dicut_size, same_side_counts)
 
 
 def median_cut(g: RegularGraph, lab: Labelling) -> Cut:
@@ -131,4 +130,4 @@ def sequential_flip_to_maximal(g: RegularGraph, c: Cut, order: str = "lowest") -
 
 def random_cut(g: RegularGraph, seed: int) -> Cut:
     """Fair coin per vertex."""
-    return Cut(coin_flips([random.Random(seed)], [g.n]))
+    return Cut(coin_flips([_seeded(seed)], [g.n]))

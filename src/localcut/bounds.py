@@ -7,7 +7,8 @@ The flip decomposition holds its sets as boolean masks, built with array
 expressions and counted with np.count_nonzero. Claim 2's window floor is
 written once, doubled so it is an integer; `window_edge_counts` gives the
 inside-edge count of every window length from one start in one pass, and
-`check_window_bounds` compares a whole row of lengths against the floor.
+`check_window_bounds` compares a whole row of lengths against the floor,
+one radius at a time, from that one row of counts.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def decompose(o: Orientation, opt_cut: Cut) -> FlipDecomposition:
     )
 
     g = o.graph
-    u, v = g.edges().T
+    edges = g.edges()
+    u, v = edges.T
     t, h = o.arcs.T
     c0 = oriented_median_cut(o)
     plus = c0.sides == LEFT
@@ -148,7 +150,7 @@ def decompose(o: Orientation, opt_cut: Cut) -> FlipDecomposition:
           | (~plus[t] & ~plus[h] & U0[t] & ~U0[h]))
     F0 = ~M[u] & ~M[v] & (plus[u] == plus[v])
     touched = np.zeros(g.n, dtype=bool)
-    touched[g.edges()[E0]] = True
+    touched[edges[E0]] = True
     touched[o.arcs[E1]] = True
     M_one = M & ~M_star & ~touched
 
@@ -275,18 +277,21 @@ def window_bound(d: int, length: int, r: int) -> Fraction:
     return Fraction(_twice_window_bound(d, length, r), 2)
 
 
-def check_window_bounds(g: RegularGraph, start: int, r: int
+def check_window_bounds(counts: np.ndarray, d: int, r: int
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compare every window length l = r..n from `start` with its floor, in
-    integers.
+    """Compare every window length l = r..n with its floor, in integers, on
+    a circulant of degree d whose window counts are `counts`, as
+    window_edge_counts gives them (n = len(counts) - 1).
 
     A window of l positions loses (r-1)/2 positions on each side before its
     edges are counted, matching how the radius-r information margin is
-    spent. Returns int64 arrays of the lengths and their trimmed-window
-    counts, and the boolean mask 2*count >= 2*window_bound(d, l, r).
+    spent. A rotation of the circulant maps any window onto any other of
+    its length, so the trimmed window holds counts[l - (r-1)] edges, and one
+    row of counts serves every r. Returns int64 arrays of the lengths and
+    their trimmed-window counts, and the boolean mask
+    2*count >= 2*window_bound(d, l, r).
     """
-    lengths = np.arange(r, g.n + 1)
-    twice_bounds = _twice_window_bound(g.d, lengths, r)
-    margin = (r - 1) // 2
-    counts = window_edge_counts(g, start + margin)[lengths - 2 * margin]
-    return lengths, counts, 2 * counts >= twice_bounds
+    lengths = np.arange(r, len(counts))
+    twice_bounds = _twice_window_bound(d, lengths, r)
+    trimmed = counts[lengths - (r - 1)]
+    return lengths, trimmed, 2 * trimmed >= twice_bounds

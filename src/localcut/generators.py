@@ -32,6 +32,7 @@ from .graphs import (
     Orientation,
     RegularGraph,
     _require_vertex_count,
+    _seeded,
     coin_flips,
     component_offsets,
     dicut_size,
@@ -235,7 +236,7 @@ def _random_regular_edges(ns: Sequence[int], d: int, seeds: Sequence[int],
     total = sum(ns)
     _require_vertex_count(total)
     firsts = component_offsets(ns)[:-1].tolist()
-    rngs = [random.Random(seed) for seed in seeds]
+    rngs = [_seeded(seed) for seed in seeds]
     found = []
     pending = list(range(len(ns)))
     for _ in range(max_restarts):
@@ -298,8 +299,8 @@ def _coin_orientation(g: RegularGraph, ms: Sequence[int], seeds: Sequence[int]
                       ) -> Orientation:
     """Orient edges() in consecutive blocks of ms[k] rows: block k takes a fair
     coin per edge (u, v) from random.Random(seeds[k]); 1 keeps u -> v."""
+    forward = coin_flips([_seeded(seed) for seed in seeds], ms) == 1
     e = g.edges()
-    forward = coin_flips([random.Random(seed) for seed in seeds], ms) == 1
     return Orientation._trusted(g, np.where(forward[:, None], e, e[:, ::-1]))
 
 

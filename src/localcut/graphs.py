@@ -1,16 +1,20 @@
 """Core types: regular graphs, orientations, labellings, cuts.
 
 Every graph is d-regular, so it is one (n, d) int64 adjacency array with
-sorted rows; an orientation is an (m, 2) arc array, a cut an int8 side
-array. Immutable means these arrays are read-only after construction. A
-set of vertices, edges or arcs is a boolean mask over the vertices, the
-rows of `edges()` or the rows of `arcs` (`dicut_arcs` is one).
+sorted rows and nothing else; an orientation is one (m, 2) arc array, a cut
+an int8 side array. Immutable means these arrays are read-only after
+construction. Whatever follows from them is derived per call as a fresh
+read-only array: `edges()` from the adjacency (O(m) work) and
+`out_degrees` and `deficits` from the arcs (O(n) work). A set of
+vertices, edges or arcs is a boolean mask over the vertices, the rows of
+`edges()` or the rows of `arcs` (`dicut_arcs` is one).
 `cut_edges` marks the rows of `edges()` whose two endpoints lie on
-different sides and `cut_size` counts them;
-`same_side_counts` is the per-vertex count the local rules share. A
-disjoint union lays graphs side by side, each on a run of vertices that
-`component_offsets` locates. Vertices are 0..n-1 throughout; IDs (distinct
-positive integers) live in a separate Labelling so a graph can carry many.
+different sides; `cut_size` counts the cut edges from the adjacency, each
+seen from both ends, and `same_side_counts` is the per-vertex count the
+local rules share. A disjoint union lays graphs side by side, each on a
+run of vertices that `component_offsets` locates. Vertices are 0..n-1
+throughout; IDs (distinct positive integers) live in a separate Labelling
+so a graph can carry many.
 
 Construction checks run at array speed. A Labelling converts input other
 than an integer array per ID, decides distinctness and bounds from one sort
@@ -54,6 +58,14 @@ def _require_vertex_count(n: int) -> None:
     """Raise InvalidParameterError unless 1 <= n < 2^32."""
     if not 1 <= n < _MAX_N:
         raise InvalidParameterError(f"need 1 <= n < 2^32 vertices, got n={n}")
+
+
+def _seeded(seed: int) -> random.Random:
+    """random.Random(seed); InvalidParameterError for a negative seed, which
+    random.Random would take as its absolute value."""
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed)
 
 
 def component_offsets(sizes: Sequence[int]) -> np.ndarray:
@@ -143,9 +155,10 @@ class RegularGraph:
     """Simple undirected d-regular graph on vertices 0..n-1.
 
     `adj` is a read-only (n, d) int64 array whose row v lists v's neighbors
-    in increasing order. `family`/`family_params` record which generator
-    produced the graph (orient_clockwise needs to know the circulant
-    structure); they do not take part in equality.
+    in increasing order, and the graph's only array: `edges()` derives the
+    edge rows from it on each call. `family`/`family_params` record which
+    generator produced the graph (orient_clockwise needs to know the
+    circulant structure); they do not take part in equality.
     """
 
     def __init__(self, adjacency, d: Optional[int] = None,
@@ -172,12 +185,6 @@ class RegularGraph:
         self.m = self.n * self.d // 2
         self.family = family
         self.family_params = family_params
-        # the entries above the diagonal, in row-major order, are the edges
-        upper = np.flatnonzero(adj > np.arange(self.n)[:, None])
-        edges = np.empty((self.m, 2), dtype=np.int64)
-        np.floor_divide(upper, self.d, out=edges[:, 0])
-        edges[:, 1] = adj.ravel()[upper]
-        self._edges = _read_only(edges)
 
     @classmethod
     def from_edges(cls, n: int, edges, d: Optional[int] = None,
@@ -213,8 +220,15 @@ class RegularGraph:
         return g
 
     def edges(self) -> np.ndarray:
-        """All edges as a read-only (m, 2) array of rows (u, v), u < v, ascending."""
-        return self._edges
+        """All edges as a read-only (m, 2) array of rows (u, v), u < v,
+        ascending: derived from `adj` on every call, O(m) work and a fresh
+        array, so a caller that needs it twice keeps it."""
+        # the entries above the diagonal, in row-major order, are the edges
+        upper = np.flatnonzero(self.adj > np.arange(self.n)[:, None])
+        edges = np.empty((self.m, 2), dtype=np.int64)
+        np.floor_divide(upper, self.d, out=edges[:, 0])
+        edges[:, 1] = self.adj.ravel()[upper]
+        return _read_only(edges)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RegularGraph):
@@ -233,8 +247,9 @@ class Orientation:
     """An orientation of a RegularGraph: every edge gets exactly one arc.
 
     `arcs` is a read-only (m, 2) int64 array of (tail, head) rows in the
-    order given; `out_degrees` counts each vertex's outgoing arcs and
-    `deficits` gives each vertex's out-degree minus its in-degree.
+    order given, and the orientation's only array. `out_degrees` (each
+    vertex's outgoing arcs) and `deficits` (out-degree minus in-degree) are
+    derived from it on each access, O(n) work and a fresh read-only array.
     """
 
     def __init__(self, graph: RegularGraph, arcs):
@@ -254,15 +269,19 @@ class Orientation:
         return o
 
     def _take(self, graph: RegularGraph, arcs: np.ndarray) -> None:
-        """Keep an int64 arc array, not a copy, and count out-degrees."""
+        """Keep an int64 arc array, not a copy."""
         self.graph = graph
         self.arcs = _read_only(arcs)
-        self.out_degrees = _read_only(np.bincount(arcs[:, 0], minlength=graph.n))
+
+    @property
+    def out_degrees(self) -> np.ndarray:
+        """Per vertex, the arcs leaving it."""
+        return _read_only(np.bincount(self.arcs[:, 0], minlength=self.graph.n))
 
     @property
     def deficits(self) -> np.ndarray:
         """Per vertex, out-degree minus in-degree (odd whenever d is odd)."""
-        return 2 * self.out_degrees - self.graph.d
+        return _read_only(2 * self.out_degrees - self.graph.d)
 
     def _arc_keys(self) -> np.ndarray:
         return np.sort(self.arcs[:, 0] * self.graph.n + self.arcs[:, 1])
@@ -358,7 +377,7 @@ def _random_ids(n: int, seed: int, id_bound: int) -> list[int] | np.ndarray:
     `setsize`) and small n, where it is faster; from 2^63 on, where range()
     has no length, the set method runs here in Python.
     """
-    rng, bits = random.Random(seed), id_bound.bit_length()
+    rng, bits = _seeded(seed), id_bound.bit_length()
     if id_bound >= 2 ** 63:
         ids: list[int] = []
         seen: set[int] = set()
@@ -418,7 +437,7 @@ def random_labelling(n: int, seed: int, id_bound: Optional[int] = None) -> Label
     """n distinct IDs drawn uniformly from [1, id_bound] (default n^3):
     exactly random.Random(seed).sample(range(1, id_bound + 1), n), decoded
     in numpy (see _random_ids); any id_bound >= n is taken, 2^63 and past
-    included. InvalidParameterError for n < 0 or id_bound < n."""
+    included. InvalidParameterError for n < 0, id_bound < n or seed < 0."""
     n = operator.index(n)
     if n < 0:
         raise InvalidParameterError(f"need n >= 0 IDs, got n={n}")
@@ -502,8 +521,10 @@ def cut_edges(g: RegularGraph, c: Cut) -> np.ndarray:
 
 
 def cut_size(g: RegularGraph, c: Cut) -> int:
-    """Number of rows of `g.edges()` whose endpoints are on different sides."""
-    return int(np.count_nonzero(cut_edges(g, c)))
+    """Number of edges whose endpoints are on different sides, counted over
+    the adjacency, where each is seen from both ends."""
+    _require_cover(g, c)
+    return int(np.count_nonzero(c.sides[g.adj] != c.sides[:, None])) // 2
 
 
 def dicut_arcs(o: Orientation, c: Cut) -> np.ndarray:

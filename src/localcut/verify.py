@@ -39,6 +39,7 @@ from .algorithms import (
     stable_vertices,
     unstable_flip_step,
 )
+from .errors import InvalidParameterError
 from .generators import (
     complete_graph,
     make_abcd_instance,
@@ -55,6 +56,7 @@ from .graphs import (
     Orientation,
     RegularGraph,
     _random_ids,
+    _seeded,
     coin_flips,
     component_offsets,
     cut_edges,
@@ -180,7 +182,7 @@ def verify_median_floor(seed: int = 0, degrees: tuple[int, ...] = (3, 5, 7),
     integers, as 4*cut < 2n + d^2 - 1.
     """
     started = time.monotonic()
-    rng = random.Random(seed)
+    rng = _seeded(seed)
     violations: list[str] = []
     cases = 0
     for d in degrees:
@@ -215,7 +217,7 @@ def _ratio_records(degrees: tuple[int, ...], cases_per_degree: int,
     Cached because three suites (ratio, inequalities, two-flip floor) read
     the same records and the oracle pass is the expensive part.
     """
-    rng = random.Random(seed)
+    rng = _seeded(seed)
     cases = [_draw_case(rng, d, max_n) for d in degrees for _ in range(cases_per_degree)]
     records: list[dict] = [{}] * len(cases)
     for idx, union in _oriented_unions(cases):
@@ -244,7 +246,7 @@ def verify_oriented_ratio(seed: int = 0,
                           ratio_max_n: int = 20) -> dict:
     """Deficit cut >= n/2 always, and >= 2d/(d^2+1) * OPT against the oracle."""
     started = time.monotonic()
-    rng = random.Random(seed)
+    rng = _seeded(seed)
     violations: list[str] = []
     floor = [_draw_case(rng, floor_degrees[i % len(floor_degrees)], floor_max_n)
              for i in range(floor_cases)]
@@ -333,7 +335,7 @@ def verify_flip_monotonicity(seed: int = 0, cases: int = 1000,
     each flip runs once per union; every check is split per case.
     """
     started = time.monotonic()
-    rng = random.Random(seed)
+    rng = _seeded(seed)
     corpus = [_draw_case(rng, degrees[i % len(degrees)], max_n) for i in range(cases)]
     # bad[i, j]: case i's stable set shrank, arcs left, size fell at flip j
     bad = np.zeros((cases, flips, 3), dtype=bool)
@@ -448,10 +450,10 @@ def verify_claim2(seed: int = 0, degrees: tuple[int, ...] = (4, 6),
     cases = 0
     for d in degrees:
         for n in range(2 * d, max_n + 1, 4):
-            g = make_circulant(n, d)
+            window_counts = bounds.window_edge_counts(make_circulant(n, d), 0)
             failed = []
             for r in range(1, min(n, max_r) + 1, 2):
-                lengths, counts, ok = bounds.check_window_bounds(g, 0, r)
+                lengths, counts, ok = bounds.check_window_bounds(window_counts, d, r)
                 cases += len(lengths)
                 failed += [(length, r, count) for length, count
                            in zip(lengths[~ok].tolist(), counts[~ok].tolist())]
@@ -469,7 +471,13 @@ def verify_claim2(seed: int = 0, degrees: tuple[int, ...] = (4, 6),
 
 def verify_folklore(seed: int = 0, trials: int = 10 ** 4,
                     n: int = 1000, d: int = 5) -> dict:
-    """Random cuts average m/2; almost none fall below 0.45m."""
+    """Random cuts average m/2; almost none fall below 0.45m.
+
+    Trial k cuts with random_cut(g, seed + 1 + k), k = 0..trials-1, where g is
+    make_random_regular(n, d, seed); pre: trials >= 1 and seed >= 0.
+    """
+    if trials < 1:
+        raise InvalidParameterError(f"folklore needs trials >= 1, got {trials}")
     started = time.monotonic()
     g = make_random_regular(n, d, seed=seed)
     u, v = g.edges().T

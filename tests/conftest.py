@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
@@ -89,6 +90,22 @@ def peak_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def retained_bytes(build):
+    """build()'s result, and the bytes tracemalloc still sees allocated
+    (numpy's arrays included) once build has returned it."""
+    tracemalloc.start()
+    try:
+        obj = build()
+        return obj, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def array_attributes(obj) -> list[str]:
+    """The names of obj's attributes that hold numpy arrays, sorted."""
+    return sorted(k for k, v in vars(obj).items() if isinstance(v, np.ndarray))
 
 
 def labelling_for(n: int, seed: int) -> Labelling:

@@ -252,8 +252,6 @@ def test_window_edge_count_example():
 def test_window_edge_count_validation():
     with pytest.raises(InvalidParameterError, match="circulants"):
         window_edge_counts(complete_graph(4), 0)
-    with pytest.raises(InvalidParameterError, match="circulants"):
-        check_window_bounds(complete_graph(4), 0, 1)
 
 
 def test_window_bound_values():
@@ -263,8 +261,8 @@ def test_window_bound_values():
 
 
 def test_check_window_bound_example():
-    g = make_circulant(12, 4)
-    lengths, counts, ok = check_window_bounds(g, 0, 1)
+    window_counts = window_edge_counts(make_circulant(12, 4), 0)
+    lengths, counts, ok = check_window_bounds(window_counts, 4, 1)
     assert (lengths[5], counts[5], ok[5]) == (6, 8, True)
     assert 8 >= window_bound(4, 6, 1) == 4
 
@@ -275,7 +273,7 @@ def test_window_bound_holds_on_c16(length, r):
     g = make_circulant(16, 4)
     if r > length:
         return
-    lengths, _, ok = check_window_bounds(g, 3, r)
+    lengths, _, ok = check_window_bounds(window_edge_counts(g, 3), 4, r)
     assert lengths[length - r] == length and ok[length - r]
 
 
@@ -292,7 +290,7 @@ def test_window_checks_on_the_floor(monkeypatch, offset, holds):
     g = make_circulant(16, 4)
     fake_window_counts(monkeypatch, 4, offset)
     for r in (1, 3, 5):
-        lengths, counts, ok = check_window_bounds(g, 0, r)
+        lengths, counts, ok = check_window_bounds(bounds.window_edge_counts(g, 0), 4, r)
         assert lengths.tolist() == list(range(r, 17))
         assert ok.tolist() == [holds] * len(lengths)
         for length, count in zip(lengths.tolist(), counts.tolist()):
@@ -302,7 +300,7 @@ def test_window_checks_on_the_floor(monkeypatch, offset, holds):
 def test_check_window_bounds_validates_r():
     for r in (0, 2, -1):
         with pytest.raises(InvalidParameterError, match="odd"):
-            check_window_bounds(make_circulant(16, 4), 0, r)
+            check_window_bounds(window_edge_counts(make_circulant(16, 4), 0), 4, r)
 
 
 def test_claim2_reports_each_violation_in_grid_order(monkeypatch):

@@ -176,6 +176,28 @@ def test_random_regular_rejects_bad_params():
         make_random_regular(4, 4, seed=0)  # n <= d
 
 
+CIRCULANT = make_circulant(8, 2)
+
+
+@pytest.mark.parametrize("entry,args", [
+    (localcut.random_cut, (CIRCULANT, -3)),
+    (make_random_regular, (10, 3, -5)),
+    (make_random_regular_union, ([10, 12], 3, [1, -5])),
+    (make_random_orientation, (CIRCULANT, -1)),
+    (make_random_orientation_union, (make_random_regular_union([8, 8], 3, [1, 2]), [8, 8],
+                                     [2, -1])),
+    (localcut.random_labelling, (5, -2)),
+    *[(localcut.SUITES[suite], ()) for suite in (
+        "median-floor", "oriented-ratio", "flip-inequalities", "two-flip-floor",
+        "flip-monotonicity", "folklore")],
+], ids=lambda x: getattr(x, "__name__", None))
+def test_negative_seeds_are_rejected(entry, args):
+    # random.Random(-s) seeds like random.Random(s): a negative seed would
+    # silently give a positive one's output
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+        entry(*args) if args else entry(seed=-1)
+
+
 @pytest.mark.parametrize("n", [0, 2 ** 32, 10 ** 18])
 def test_random_regular_rejects_vertex_count_before_allocating(n):
     def build():

@@ -25,7 +25,8 @@ from localcut import (
 )
 from localcut import graphio
 
-from conftest import mutated_graph_files, oriented_graphs, small_regular_graphs, text_source
+from conftest import (array_attributes, mutated_graph_files, oriented_graphs, retained_bytes,
+                      small_regular_graphs, text_source)
 
 
 def graph_to_text(obj, lab=None) -> str:
@@ -151,6 +152,22 @@ def test_file_round_trip_memory_is_bounded():
     _, small = traced_peak(write_graph, NullSink(), o, lab)
     _, large = traced_peak(write_graph, NullSink(), *labelled_id_orientation(40000, 5))
     assert large < 1.1 * small
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_read_graph_keeps_one_array_per_object(directed):
+    # at n = 10^5, d = 5 the result retains the adjacency, the arcs of a
+    # directed file and the IDs, and little else
+    o, lab = labelled_id_orientation(10 ** 5, 5)
+    text = graph_to_text(o if directed else o.graph, lab)
+    (back, back_lab), kept = retained_bytes(lambda: read_graph(io.StringIO(text)))
+    g = back.graph if directed else back
+    arrays = g.adj.nbytes + back_lab.ids.nbytes
+    assert array_attributes(g) == ["adj"] and array_attributes(back_lab) == ["ids"]
+    if directed:
+        assert array_attributes(back) == ["arcs"]
+        arrays += back.arcs.nbytes
+    assert kept <= arrays + 2 ** 19
 
 
 def test_labelling_size_mismatch(tmp_path):

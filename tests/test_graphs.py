@@ -26,6 +26,7 @@ from localcut import (
     make_id_orientation,
     make_random_orientation,
     make_random_orientation_union,
+    make_random_regular,
     make_random_regular_union,
     monochromatic_components,
     orient_clockwise,
@@ -34,7 +35,8 @@ from localcut import (
     write_graph,
 )
 
-from conftest import oriented_graphs, peak_bytes, small_regular_graphs
+from conftest import (array_attributes, oriented_graphs, peak_bytes, retained_bytes,
+                      small_regular_graphs)
 
 
 def test_validate_regular_accepts_cycle():
@@ -143,6 +145,16 @@ def test_orientations_built_unchecked_pass_the_full_check(g, seed):
         assert checked == o and o.arcs.dtype == np.int64
         assert np.array_equal(checked.out_degrees, o.out_degrees)
         assert not o.arcs.flags.writeable and not o.out_degrees.flags.writeable
+
+
+def test_a_graph_and_its_orientation_keep_one_array_each():
+    # edges(), out_degrees and deficits are derived on each call, so at
+    # n = 10^5, d = 5 the pair retains its adjacency and its arcs and little
+    # else (the two arrays are 7.63 MiB together)
+    o, kept = retained_bytes(
+        lambda: make_random_orientation(make_random_regular(10 ** 5, 5, seed=1), seed=2))
+    assert array_attributes(o.graph) == ["adj"] and array_attributes(o) == ["arcs"]
+    assert kept <= o.graph.adj.nbytes + o.arcs.nbytes + 2 ** 19
 
 
 def test_labelling_rejects_duplicates():

@@ -914,12 +914,12 @@ def test_claim2_rows_match_scalar_checks_on_the_default_grid():
     for d in (4, 6):
         for n in range(2 * d, 61, 4):
             g = make_circulant(n, d)
-            adj = g.adj.tolist()
+            adj, window_counts = g.adj.tolist(), window_edge_counts(g, 0)
             grid = {(length, r) for length in range(1, n + 1)
                     for r in range(1, min(length, 25) + 1, 2)}
             rows = set()
             for r in range(1, min(n, 25) + 1, 2):
-                lengths, counts, ok = check_window_bounds(g, 0, r)
+                lengths, counts, ok = check_window_bounds(window_counts, d, r)
                 margin = (r - 1) // 2
                 for length, count, holds in zip(lengths.tolist(), counts.tolist(),
                                                 ok.tolist()):
@@ -1184,6 +1184,13 @@ def test_folklore_blocks_count_each_random_cut(seed, coins):
     assert report["below_045m"] > 0
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_folklore_needs_a_trial(trials):
+    # 0 trials would divide by zero in the mean, and fewer would pass on no cuts
+    with pytest.raises(InvalidParameterError, match="trials >= 1"):
+        verify.verify_folklore(trials=trials)
+
+
 # --- graph files -----------------------------------------------------------------
 
 def parse_outcome(parser, text, universal_newlines):
@@ -1415,6 +1422,6 @@ def test_orientation_defects_are_rejected(arcs):
 def test_arrays_are_read_only():
     o = make_random_orientation(make_circulant(8, 2), seed=0)
     c = Cut([LEFT] * 8)
-    for array in (o.graph.adj, o.graph.edges(), o.arcs, o.out_degrees, c.sides):
+    for array in (o.graph.adj, o.graph.edges(), o.arcs, o.out_degrees, o.deficits, c.sides):
         with pytest.raises(ValueError):
             array[0] = 1
