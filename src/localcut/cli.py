@@ -152,6 +152,10 @@ def cmd_run(args) -> int:
     if args.with_opt and args.algo not in WITH_OPT_ALGOS:
         raise InvalidParameterError(
             f"--with-opt applies to --algo {' and '.join(WITH_OPT_ALGOS)} only")
+    if args.congest_b is not None and args.algo != "median":
+        raise InvalidParameterError("--congest-b applies to --algo median only")
+    if args.congest_b is not None and args.congest_b < 1:
+        raise InvalidParameterError(f"--congest-b must be >= 1, got {args.congest_b}")
     obj, g, lab_file = _load(args.graph)
     record: dict = {"algo": args.algo, "n": g.n, "m": g.m, "d": g.d}
 
@@ -290,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=["lowest", "highest"], default="lowest")
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--congest-b", type=int, default=None,
-                   help="per-message bit limit; serializes the median rule")
+                   help="bits per message, >= 1: stream each ID in chunks this "
+                        "wide (median only; default the whole ID width, one round)")
     p.add_argument("--with-opt", action="store_true",
                    help="also brute-force MaxDiCut OPT and check the ratio floor "
                         "(oriented-median and om-flips only)")

@@ -368,6 +368,12 @@ EXIT_CODES = {
                                      "--ids", "file"], 2),
     "run-median-congest-b-0": (["run", "--algo", "median", "--graph", "{dnd_ids}",
                                 "--ids", "file", "--congest-b", "0"], 2),
+    "run-median-congest-b-negative": (["run", "--algo", "median", "--graph", "{dnd}",
+                                       "--congest-b", "-3"], 2),
+    "run-dflip-congest-b": (["run", "--algo", "dflip", "--graph", "{random}",
+                             "--congest-b", "4"], 2),
+    "run-om-flips-congest-b": (["run", "--algo", "om-flips", "--graph", "{dnd}",
+                                "--congest-b", "1"], 2),
     "run-oriented-median-undirected": (["run", "--algo", "oriented-median",
                                         "--graph", "{dnd}"], 2),
     "run-median-with-opt": (["run", "--algo", "median", "--graph", "{dnd}", "--with-opt"], 2),

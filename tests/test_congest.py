@@ -1,5 +1,7 @@
 """Round engine semantics: accounting, congestion, determinism, locality."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -127,6 +129,10 @@ def test_serialized_median_rejects_a_message_holding_the_separator():
     assert out is None
     with pytest.raises(InvalidParameterError, match="separator"):
         program.step(state, 2, ("1", "0", "1"))
+    one_bit = BitSerializedMedianProgram(1, 1)  # " 1" and "" fill two one-bit slots
+    state, _, _ = one_bit.step(one_bit.init(1, 3, 2), 0, (None,) * 2)
+    with pytest.raises(InvalidParameterError, match="separator"):
+        one_bit.step(state, 1, (" 1", ""))
     one_round = MedianProgram(2)
     state, _, _ = one_round.step(one_round.init(1, 1, 1), 0, (None,))
     with pytest.raises(InvalidParameterError, match="separator"):
@@ -156,6 +162,20 @@ def test_flip_program_zero_rounds():
     assert cut == start
     assert trace.rounds_used == 0
     assert trace.total_bits == 0
+
+
+def test_one_program_instance_runs_graphs_of_two_degrees():
+    # nodes that send the same message share one tuple of it; a tuple built
+    # for one degree must not reach the nodes of another
+    def start(own_id):
+        return own_id % 2
+
+    median, flip = BitSerializedMedianProgram(5, 1), FlipProgram(start, 2)
+    for g in (make_random_regular(20, 3, seed=1), make_random_regular(20, 5, seed=2)):
+        lab = identity_labelling(g.n)
+        assert run(median, g, lab, bit_limit=1) == run(
+            BitSerializedMedianProgram(5, 1), g, lab, bit_limit=1)
+        assert run(flip, g, lab) == run(FlipProgram(start, 2), g, lab)
 
 
 def test_flip_program_validates():
@@ -229,6 +249,24 @@ def test_engine_round_cap():
     g = make_circulant(8, 2)
     with pytest.raises(NonTerminationError):
         run(_ChattyProgram(), g, identity_labelling(8), max_rounds=10)
+
+
+class _UnsteppableProgram(NodeProgram):
+    def init(self, own_id, degree, port_count):
+        return None
+
+    def step(self, state, round_index, inbound):
+        raise AssertionError("a node was stepped")
+
+
+@pytest.mark.parametrize("limits,message", [
+    ({"max_rounds": -1}, "max_rounds must be >= 0, got -1"),
+    ({"bit_limit": -1}, "bit_limit must be >= 0, got -1"),
+])
+def test_engine_rejects_negative_limits_before_stepping(limits, message):
+    with pytest.raises(InvalidParameterError) as err:
+        run(_UnsteppableProgram(), make_circulant(8, 2), identity_labelling(8), **limits)
+    assert str(err.value) == message
 
 
 class _WrongArityProgram(NodeProgram):
@@ -321,3 +359,39 @@ def test_step_exception_propagates_unchanged():
     assert type(err) is NodeFault
     assert err.args == (6,)
     assert err.__cause__ is None and err.__context__ is None
+
+
+# --- pinned outputs ---------------------------------------------------------------
+
+def _pinned_outcomes():
+    """Each pinned run's (sides, trace), or (error type, message) if it raised."""
+    graphs = [make_circulant(24, 4), make_double_circulant(6, 3),
+              make_double_circulant(100, 5), make_random_regular(200, 3, seed=1),
+              make_random_regular(150, 5, seed=2), make_random_regular(32, 5, seed=3)]
+    for g in graphs:
+        for lab in (identity_labelling(g.n), random_labelling(g.n, seed=g.n),
+                    random_labelling(g.n, seed=7, id_bound=2 ** 40)):
+            side_of = dict(zip(lab.ids.tolist(), random_cut(g, seed=5).sides.tolist()))
+            runs = [lambda: run(MedianProgram(median_width(lab)), g, lab)]
+            runs += [lambda b=b: run_bit_serialized_median(g, lab, b) for b in (1, 2, 3, 7, 8)]
+            runs += [lambda r=r: run(FlipProgram(side_of.__getitem__, r), g, lab, bit_limit=1)
+                     for r in (0, 1, 4)]
+            for simulate in runs:
+                try:
+                    cut, trace = simulate()
+                except Exception as exc:
+                    yield type(exc).__name__, str(exc)
+                else:
+                    yield cut.sides.tolist(), trace
+
+
+def test_simulator_outputs_match_the_pinned_digest():
+    # sha256 of every cut, RoundTrace and error of the median programs (one
+    # chunk and B = 1, 2, 3, 7, 8) and FLIP (0, 1, 4 rounds), computed before
+    # the engine and the programs were last optimised; the circulant has even
+    # degree, so its median runs pin the odd-degree error
+    digest = hashlib.sha256()
+    for outcome in _pinned_outcomes():
+        digest.update(repr(outcome).encode())
+    assert digest.hexdigest() == (
+        "874fa3f87ae266a8e5ccdf9d63174ee4d4cdbff624e992f82d70fe2ae9b9dd78")
