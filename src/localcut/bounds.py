@@ -4,7 +4,9 @@ Every floor and ratio is a Fraction; every inequality check compares
 integers. Floats never decide a verdict: log_star takes the ceiling of its
 argument once and then iterates exact integer bit lengths.
 The flip decomposition holds its sets as boolean masks, built with array
-expressions and counted with np.count_nonzero. Claim 2's window floor is
+expressions. One ledger, _flip_ledgers, counts them per component of a
+disjoint union (a lone orientation is one component) and evaluates the
+nine flip inequalities on those counts. Claim 2's window floor is
 written once, doubled so it is an integer; `window_edge_counts` gives the
 inside-edge count of every window length from one start in one pass, and
 `check_window_bounds` compares a whole row of lengths against the floor,
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -27,7 +29,9 @@ from .graphs import (
     Orientation,
     RegularGraph,
     _read_only,
-    dicut_size,
+    component_counts,
+    component_offsets,
+    dicut_arcs,
 )
 
 Rational = Union[int, Fraction]
@@ -80,9 +84,10 @@ class FlipDecomposition:
     """All the sets the flip-refined inequalities talk about.
 
     Every set is a read-only boolean mask: M, M_star, M_one, U0 and U1 over
-    the vertices 0..n-1, E0 and F0 over the rows of `graph.edges()`, E1 over
-    the rows of the orientation's `arcs`. Count a set with np.count_nonzero;
-    len() of a mask is the size of what it ranges over.
+    the vertices 0..n-1, E0 and F0 over the rows of `graph.edges()`, E1 and
+    the rows of cut_arcs over the rows of the orientation's `arcs`. Count a
+    set with np.count_nonzero; len() of a mask is the size of what it
+    ranges over. `deficits` and `arcs` are the orientation's, read-only.
 
     Relative to the deficit cut (V+ left, V- right) and one fixed optimal
     directed cut (V1, V2):
@@ -94,7 +99,10 @@ class FlipDecomposition:
           the minus side (exactly the arcs a simultaneous flip adds)
       F0: edges inside V+ \\ M or inside V- \\ M
       U0/U1: unstable vertices before / after one flip
-      cut_sizes: (CUT_0, CUT_1, CUT_2)
+      cut_arcs: one row per cut, the arcs it cuts: the witness's, then
+          those of CUT_0, CUT_1 and CUT_2
+      big_d: the sum over V+ of out-degrees and over V- of in-degrees
+      opt, cut_sizes: the sizes of those cuts, (CUT_0, CUT_1, CUT_2)
     """
 
     d: int
@@ -110,13 +118,20 @@ class FlipDecomposition:
     F0: np.ndarray
     U0: np.ndarray
     U1: np.ndarray
+    deficits: np.ndarray
+    arcs: np.ndarray
+    cut_arcs: np.ndarray
 
 
 def decompose(o: Orientation, opt_cut: Cut) -> FlipDecomposition:
     """Build the decomposition for an orientation and an optimal-cut witness.
 
     `opt_cut` is trusted to be optimal; pass a brute-force witness. All
-    sets follow the undirected stability convention.
+    sets follow the undirected stability convention. Each membership is
+    decided within a few hops of its vertex, edge or arc, never across a
+    component, so on a disjoint union, with each component's witness side
+    by side in `opt_cut`, each component's part of every set is the set it
+    gets alone; _flip_ledgers counts them per component.
     """
     from .algorithms import (
         oriented_median_cut,
@@ -154,16 +169,20 @@ def decompose(o: Orientation, opt_cut: Cut) -> FlipDecomposition:
     touched[o.arcs[E1]] = True
     M_one = M & ~M_star & ~touched
 
+    cut_arcs = np.stack([dicut_arcs(o, c) for c in (opt_cut, c0, c1, c2)])
+    opt, *cut_sizes = np.count_nonzero(cut_arcs, axis=1).tolist()
     masks = {"M": M, "M_star": M_star, "M_one": M_one, "E0": E0, "E1": E1,
-             "F0": F0, "U0": U0, "U1": U1}
+             "F0": F0, "U0": U0, "U1": U1, "cut_arcs": cut_arcs}
     return FlipDecomposition(
         d=g.d,
         n=g.n,
         # a V+ vertex's out-degree and a V- vertex's in-degree are both
         # (d + |deficit|) / 2
         big_d=(g.d * g.n + int(np.abs(deficits).sum())) // 2,
-        opt=dicut_size(o, opt_cut),
-        cut_sizes=(dicut_size(o, c0), dicut_size(o, c1), dicut_size(o, c2)),
+        opt=opt,
+        cut_sizes=tuple(cut_sizes),
+        deficits=deficits,
+        arcs=o.arcs,
         **{name: _read_only(mask) for name, mask in masks.items()},
     )
 
@@ -177,20 +196,43 @@ class InequalityVerdict:
 
 
 def check_inequalities(dec: FlipDecomposition) -> dict[str, InequalityVerdict]:
-    """Evaluate the nine flip inequalities on a decomposition.
+    """Evaluate the nine flip inequalities on a decomposition: its one
+    component's verdicts from _flip_ledgers, keyed by the usual tags."""
+    return _flip_ledgers(dec, [dec.n])[0]["verdicts"]
 
-    All quantities are integers; (d-1)/2 is exact since d is odd. Returns
-    one verdict per inequality, keyed by the usual tags.
+
+def _flip_ledgers(dec: FlipDecomposition, sizes: Sequence[int]) -> list[dict]:
+    """The flip ledger of each component of the disjoint union `dec`
+    decomposes: its cut sizes and the nine flip inequalities on its counts.
+
+    Component k has sizes[k] vertices, laid side by side as
+    component_offsets(sizes) locates them, and its rows of `edges()` and of
+    the arcs start at offsets[k] * d/2, as make_random_orientation_union
+    lays them (a lone orientation is one component); InvalidParameterError
+    unless both ends of every arc lie in the component of its row, which
+    makes every edge lie in one component too. Every count is a
+    cumulative sum cut at those offsets, and every quantity an integer;
+    (d-1)/2 is exact since d is odd. Returns one record per component, in
+    order: d, n, opt, cuts (CUT_0, CUT_1, CUT_2) and verdicts, one
+    InequalityVerdict per inequality, keyed by the usual tags.
     """
-    d, n = dec.d, dec.n
+    d = dec.d
     if d % 2 == 0:
         raise InvalidParameterError("the inequalities assume odd d")
-    cut0, cut1, cut2 = dec.cut_sizes
-    opt, big_d = dec.opt, dec.big_d
-    msize, mstar, e0, e1, f0, u1 = (
-        int(np.count_nonzero(s))
-        for s in (dec.M, dec.M_star, dec.E0, dec.E1, dec.F0, dec.U1)
-    )
+    offsets = component_offsets(sizes)
+    if offsets[-1] != dec.n:
+        raise InvalidParameterError(
+            f"components of {offsets[-1]} vertices, decomposition of {dec.n}")
+    rows = offsets * d // 2
+    n = np.diff(offsets)
+    ends = np.searchsorted(offsets, dec.arcs, side="right") - 1
+    if not (ends == np.repeat(np.arange(len(n)), np.diff(rows))[:, None]).all():
+        raise InvalidParameterError(
+            "each component's arcs must be the block of rows at its offset, inside it")
+    opt, cut0, cut1, cut2 = component_counts(dec.cut_arcs, rows)
+    msize, mstar, u1 = component_counts(np.stack([dec.M, dec.M_star, dec.U1]), offsets)
+    e0, e1, f0 = component_counts(np.stack([dec.E0, dec.E1, dec.F0]), rows)
+    big_d = (d * n + component_counts(np.abs(dec.deficits), offsets)) // 2
     base = opt - (d - 1) // 2 * msize
 
     checks = [
@@ -206,10 +248,15 @@ def check_inequalities(dec: FlipDecomposition) -> dict[str, InequalityVerdict]:
         ("eq3ter", big_d - msize - f0 - mstar, 2 * opt),
         ("eq2c", cut2, base + e0 + e1 + u1 + mstar),
     ]
-    return {
-        name: InequalityVerdict(name, lhs, rhs, lhs >= rhs)
-        for name, lhs, rhs in checks
-    }
+    names, lhs, rhs = zip(*checks)
+    lhs, rhs = np.stack(lhs, axis=1).tolist(), np.stack(rhs, axis=1).tolist()
+    cuts = np.stack([cut0, cut1, cut2], axis=1).tolist()
+    return [
+        {"d": d, "n": size, "opt": best, "cuts": tuple(cut),
+         "verdicts": {name: InequalityVerdict(name, left, right, left >= right)
+                      for name, left, right in zip(names, lefts, rights)}}
+        for size, best, cut, lefts, rights in zip(n.tolist(), opt.tolist(), cuts, lhs, rhs)
+    ]
 
 
 def tower(k: int, x: int) -> int:

@@ -148,36 +148,33 @@ def _pairing_round(ns: Sequence[int], d: int, rngs: Sequence[random.Random],
     Case k is an ns[k]-vertex graph on vertices firsts[k] and up of an
     n-vertex union, drawn from rngs[k]; its stub i belongs to its vertex
     i // d. Each case orders its stubs by ns[k]*d random 64-bit keys from
-    one getrandbits call, consecutive stubs pair off, and a pair is kept
+    getrandbits calls, consecutive stubs pair off, and a pair is kept
     unless it is a loop or repeats an earlier pair of its case; this is one
     numpy pass over all cases. The stubs of each case's rejected pairs (a
     dozen at n = 10^5, d = 5) are then shuffled and re-paired in Python.
     Returns the edge keys u*n+v (u < v) of every case that got through, and
     the indices of the cases whose leftovers got stuck.
 
-    One case is ordered by sorting its keys in place and keeping their low
-    bits, the stub indices in sorted order, which is what argsort gives.
-    Many cases are ordered by one argsort of every key, then a stable sort by
-    case index, a radix sort for the small unsigned dtype the index gets.
-    This is the order np.lexsort((key, case)) gives: the stub index in a
-    key's low bits makes the keys of one case distinct, so the first sort
-    orders each case's stubs completely, and the stable second sort keeps
-    that order while it separates the cases, whose keys alone may tie.
+    One case is ordered by _stub_order, in place. Many cases are ordered by
+    one argsort of every key, then a stable sort by case index, a radix
+    sort for the small unsigned dtype the index gets. This is the order
+    np.lexsort((key, case)) gives: the stub index in a key's low bits makes
+    the keys of one case distinct, so the first sort orders each case's
+    stubs completely, and the stable second sort keeps that order while it
+    separates the cases, whose keys alone may tie.
     """
     nds = [k * d for k in ns]
-    draws = np.frombuffer(b"".join(
-        rng.getrandbits(64 * nd).to_bytes(8 * nd, "little") for rng, nd in zip(rngs, nds)
-    ), dtype="<u8")
     starts = component_offsets(nds)
     # the stub index in the low bits breaks ties, so every sort agrees
     low = [(1 << max(nd - 1, 1).bit_length()) - 1 for nd in nds]
     if len(ns) == 1:
-        keys = draws & ~np.uint64(low[0])
-        keys |= np.arange(nds[0], dtype=np.uint64)
-        keys.sort()
-        keys &= np.uint64(low[0])
-        vertex = keys.view(np.int64) // max(d, 1) + firsts[0]
+        vertex = _stub_order(rngs[0], nds[0], low[0])
+        vertex //= max(d, 1)
+        vertex += firsts[0]
     else:
+        draws = np.frombuffer(b"".join(
+            rng.getrandbits(64 * nd).to_bytes(8 * nd, "little") for rng, nd in zip(rngs, nds)
+        ), dtype="<u8")
         local = np.arange(int(starts[-1])) - np.repeat(starts[:-1], nds)
         high = draws & ~np.repeat(np.array(low, dtype=np.uint64), nds)
         case = np.repeat(np.arange(len(ns), dtype=np.min_scalar_type(len(ns))), nds)
@@ -185,14 +182,23 @@ def _pairing_round(ns: Sequence[int], d: int, rngs: Sequence[random.Random],
         order = order[np.argsort(case[order], kind="stable")]
         vertex = (np.repeat(np.asarray(firsts, dtype=np.int64), nds) + local // max(d, 1))[order]
     pairs = vertex.reshape(-1, 2)
-    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
-    keys = lo * n + hi
-    keep = lo != hi
+    u, v = pairs[:, 0], pairs[:, 1]
+    # the key lo*n + hi of each pair, as lo*(n - 1) + u + v
+    keys = np.minimum(u, v)
+    keys *= n - 1
+    keys += u
+    keys += v
+    keep = u != v
     ordered = np.sort(keys)
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    if repeated.size:  # a handful of pairs: keep the first of each key
-        found = np.searchsorted(repeated, keys).clip(max=repeated.size - 1)
-        at = np.flatnonzero(repeated[found] == keys)
+    del ordered
+    if repeated.size:  # a handful of keys: keep the first pair of each
+        # a pair repeats a key only if one of its ends is that key's lower end
+        lower = np.zeros(n, dtype=bool)
+        lower[repeated // n] = True
+        at = np.flatnonzero(lower[u] | lower[v])
+        found = np.searchsorted(repeated, keys[at]).clip(max=repeated.size - 1)
+        at = at[repeated[found] == keys[at]]
         first = np.zeros(at.size, dtype=bool)
         first[np.unique(keys[at], return_index=True)[1]] = True
         keep[at] &= first
@@ -200,20 +206,52 @@ def _pairing_round(ns: Sequence[int], d: int, rngs: Sequence[random.Random],
     # only a kept pair of two leftover vertices can collide with a new pair
     spare = np.zeros(n, dtype=bool)
     spare[pairs[rejected].ravel()] = True
-    taken = set(keys[keep & spare[lo] & spare[hi]].tolist())
+    both = spare[u]
+    both &= spare[v]
+    both &= keep
+    taken = set(keys[both].tolist())
     rows = (starts // 2).tolist()  # case k's pairs are rows[k] .. rows[k+1] - 1
     bounds = np.searchsorted(rejected, rows).tolist()
+    # each case's rejected stubs in pair order, taken before the stub array
+    # goes: _repair shuffles them
+    leftovers = [(k, pairs[rejected[bounds[k]:bounds[k + 1]]].ravel().tolist())
+                 for k in np.flatnonzero(np.diff(bounds)).tolist()]
+    del vertex, pairs, u, v, both
     extra: list[int] = []
     stuck = []
-    for k in np.flatnonzero(np.diff(bounds)).tolist():
-        found_keys = _repair(pairs[rejected[bounds[k]:bounds[k + 1]]].ravel().tolist(),
-                             taken, n, rngs[k])
+    for k, stubs in leftovers:
+        found_keys = _repair(stubs, taken, n, rngs[k])
         if found_keys is None:
             stuck.append(k)
             keep[rows[k]:rows[k + 1]] = False
         else:
             extra += found_keys
-    return np.concatenate([keys[keep], np.array(extra, dtype=keys.dtype)]), stuck
+    kept = int(np.count_nonzero(keep))
+    out = np.empty(kept + len(extra), dtype=np.int64)
+    np.compress(keep, keys, out=out[:kept])
+    out[kept:] = extra
+    return out, stuck
+
+
+# Stub keys drawn per getrandbits call: 128 KiB of them at a time.
+_KEY_CHUNK = 1 << 14
+
+
+def _stub_order(rng: random.Random, nd: int, low: int) -> np.ndarray:
+    """The nd stub indices of one case ordered by nd random 64-bit keys, as
+    int64: the keys are drawn _KEY_CHUNK at a time straight into one array
+    (calls of whole 32-bit words continue one stream, so they are the keys
+    of one getrandbits(64 nd) call), their low bits replaced by the stub
+    index, sorted in place, and the low bits kept."""
+    keys = np.empty(nd, dtype=np.uint64)
+    for start in range(0, nd, _KEY_CHUNK):
+        stop = min(start + _KEY_CHUNK, nd)
+        chunk = rng.getrandbits(64 * (stop - start)).to_bytes(8 * (stop - start), "little")
+        np.bitwise_and(np.frombuffer(chunk, dtype="<u8"), ~np.uint64(low), out=keys[start:stop])
+        keys[start:stop] |= np.arange(start, stop, dtype=np.uint64)
+    keys.sort()
+    keys &= np.uint64(low)
+    return keys.view(np.int64)
 
 
 def _random_regular_edges(ns: Sequence[int], d: int, seeds: Sequence[int],
@@ -246,7 +284,11 @@ def _random_regular_edges(ns: Sequence[int], d: int, seeds: Sequence[int],
         pending = [pending[k] for k in stuck]
         if not pending:
             keys = np.concatenate(found) if len(found) > 1 else keys
-            return np.stack([keys // total, keys % total], axis=1)
+            del found
+            rows = np.empty((len(keys), 2), dtype=np.int64)
+            np.floor_divide(keys, total, out=rows[:, 0])
+            np.remainder(keys, total, out=rows[:, 1])
+            return rows
     k = pending[0]
     raise ConstructionError(
         f"pairing model found no simple graph in {max_restarts} restarts "
@@ -290,18 +332,26 @@ def make_id_orientation(g: RegularGraph, lab: Labelling) -> Orientation:
     """Orient every edge from the lower ID to the higher ID."""
     if lab.n != g.n:
         raise InvalidParameterError("labelling size does not match graph")
-    ids, e = lab.ids, g.edges()
-    forward = ids[e[:, 0]] < ids[e[:, 1]]
-    return Orientation._trusted(g, np.where(forward[:, None], e, e[:, ::-1]))
+    ids, rows = lab.ids, g._edge_rows()
+    return Orientation._trusted(g, _reverse_rows(rows, ids[rows[:, 0]] > ids[rows[:, 1]]))
+
+
+def _reverse_rows(rows: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """Reverse in place the rows of an (m, 2) array that `back` marks; the
+    one temporary holds their first entries."""
+    u, v = rows[:, 0], rows[:, 1]
+    first = u[back]
+    np.copyto(u, v, where=back)
+    v[back] = first
+    return rows
 
 
 def _coin_orientation(g: RegularGraph, ms: Sequence[int], seeds: Sequence[int]
                       ) -> Orientation:
     """Orient edges() in consecutive blocks of ms[k] rows: block k takes a fair
     coin per edge (u, v) from random.Random(seeds[k]); 1 keeps u -> v."""
-    forward = coin_flips([_seeded(seed) for seed in seeds], ms) == 1
-    e = g.edges()
-    return Orientation._trusted(g, np.where(forward[:, None], e, e[:, ::-1]))
+    back = coin_flips([_seeded(seed) for seed in seeds], ms) == 0
+    return Orientation._trusted(g, _reverse_rows(g._edge_rows(), back))
 
 
 def make_random_orientation(g: RegularGraph, seed: int) -> Orientation:

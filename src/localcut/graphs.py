@@ -18,9 +18,11 @@ so a graph can carry many.
 
 Construction checks run at array speed. A Labelling converts input other
 than an integer array per ID, decides distinctness and bounds from one sort
-and keeps one read-only array. Three constructors trust what holds by
+and keeps one read-only array. Four constructors trust what holds by
 construction, and only they skip a check:
 
+- `RegularGraph._trusted` checks nothing, for an adjacency that is a
+  component of a checked union, renumbered from 0.
 - `RegularGraph.from_edges` skips the symmetry sort that
   `RegularGraph(adjacency)` runs: it lays out both directions of every edge
   after checking every degree, so its adjacency is symmetric, and loops or
@@ -39,7 +41,7 @@ import math
 import operator
 import random
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -73,6 +75,15 @@ def component_offsets(sizes: Sequence[int]) -> np.ndarray:
     [0, s0, s0 + s1, ...] for components of sizes s0, s1, ... laid side by
     side. Times d/2 they are where each component's rows of `edges()` start."""
     return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
+def component_counts(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per component, the sum of a mask or an integer array over a union's
+    vertices or rows, component k spanning offsets[k] .. offsets[k+1] - 1 of
+    the last axis: cumulative sums cut at the offsets, as int64."""
+    sums = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(values, axis=-1, out=sums[..., 1:])
+    return sums[..., offsets[1:]] - sums[..., offsets[:-1]]
 
 
 def _vertex_mask(n: int, vertices: Iterable[int]) -> np.ndarray:
@@ -180,6 +191,11 @@ class RegularGraph:
         defect = _adjacency_defect(adj, d, symmetric)
         if defect:
             raise InvalidParameterError(f"adjacency is not a simple d-regular graph: {defect}")
+        self._keep(adj, family, family_params)
+
+    def _keep(self, adj: np.ndarray, family: Optional[str] = None,
+              family_params: Optional[tuple] = None) -> None:
+        """Keep an int64 adjacency, not a copy."""
         self.n, self.d = adj.shape
         self.adj = _read_only(adj)
         self.m = self.n * self.d // 2
@@ -219,16 +235,29 @@ class RegularGraph:
         g._take(keys.reshape(n, d), d, family, family_params, symmetric=True)
         return g
 
+    @classmethod
+    def _trusted(cls, adj: np.ndarray) -> "RegularGraph":
+        """A RegularGraph over an (n, d) int64 adjacency that is simple and
+        d-regular with sorted rows by construction, kept as given, unchecked."""
+        g = cls.__new__(cls)
+        g._keep(adj)
+        return g
+
     def edges(self) -> np.ndarray:
         """All edges as a read-only (m, 2) array of rows (u, v), u < v,
         ascending: derived from `adj` on every call, O(m) work and a fresh
         array, so a caller that needs it twice keeps it."""
+        return _read_only(self._edge_rows())
+
+    def _edge_rows(self) -> np.ndarray:
+        """The rows of `edges()` as a fresh writable array, built beside at
+        most one column-sized temporary."""
         # the entries above the diagonal, in row-major order, are the edges
-        upper = np.flatnonzero(self.adj > np.arange(self.n)[:, None])
-        edges = np.empty((self.m, 2), dtype=np.int64)
-        np.floor_divide(upper, self.d, out=edges[:, 0])
-        edges[:, 1] = self.adj.ravel()[upper]
-        return _read_only(edges)
+        above = self.adj > np.arange(self.n)[:, None]
+        rows = np.empty((self.m, 2), dtype=np.int64)
+        rows[:, 1] = self.adj[above]
+        np.floor_divide(np.flatnonzero(above), self.d, out=rows[:, 0])
+        return rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RegularGraph):
@@ -368,17 +397,14 @@ def _random_ids(n: int, seed: int, id_bound: int) -> list[int] | np.ndarray:
     """Exactly random.Random(seed).sample(range(1, id_bound + 1), n): n
     distinct IDs drawn uniformly from [1, id_bound], in draw order.
 
-    pre: 0 <= n <= id_bound. sample's set method draws getrandbits(b), b
-    the bit length of id_bound, until a draw below id_bound that it has not
-    drawn before, and takes population[draw] = draw + 1. Below 2^63 the
-    draws are decoded in numpy from one getrandbits call (see _draws), the
-    first occurrences kept in draw order, and an int64 array is returned.
-    sample itself runs its pool method (a population of at most its
-    `setsize`) and small n, where it is faster; from 2^63 on, where range()
-    has no length, the set method runs here in Python.
+    pre: 0 <= n <= id_bound. Below 2^63 sample's set method is decoded in
+    numpy (see _set_method_ids) and an int64 array is returned. sample
+    itself runs its pool method and small n, where it is faster; from 2^63
+    on, where range() has no length, the set method runs here in Python.
     """
-    rng, bits = _seeded(seed), id_bound.bit_length()
+    rng = _seeded(seed)
     if id_bound >= 2 ** 63:
+        bits = id_bound.bit_length()
         ids: list[int] = []
         seen: set[int] = set()
         while len(ids) < n:
@@ -387,49 +413,144 @@ def _random_ids(n: int, seed: int, id_bound: int) -> list[int] | np.ndarray:
                 seen.add(j)
                 ids.append(j + 1)
         return ids
-    # the second test is sample's own for its pool method at n > 5, float
-    # arithmetic included
-    if n <= _SAMPLE_MAX_N or id_bound <= 21 + 4 ** math.ceil(math.log(n * 3, 4)):
+    if n <= _SAMPLE_MAX_N or _pool_method(n, id_bound):
         return rng.sample(range(1, id_bound + 1), n)
-    draws = np.empty(0, dtype=np.int64)
-    have = 0
-    while have < n:
-        # the draws left to expect: each is below id_bound with probability
-        # id_bound / 2^bits, and is new with probability (id_bound - k) / id_bound
-        # after k distinct ones; a margin of a few deviations makes a second
-        # batch rare
-        left = 2.0 ** bits * (math.log1p(-have / id_bound) - math.log1p(-n / id_bound))
-        batch = _draws(rng, bits, int(left + 4 * math.sqrt(left)) + 32)
-        draws = np.concatenate([draws, batch[batch < id_bound]])
-        if not have and len(draws) >= n:
-            # with no repeat among the first n draws, they are the first n
-            # distinct ones: one sort tells, where np.unique's index needs
-            # a stable argsort
-            head = np.sort(draws[:n])
-            if not np.any(head[1:] == head[:-1]):
-                return draws[:n] + 1
-            del head
+    return _set_method_ids([rng], [seed], [n], [id_bound])
+
+
+def _pool_method(n: int, id_bound: int) -> bool:
+    """Whether random.sample takes n of range(1, id_bound + 1) by its pool
+    method: sample's own test, float arithmetic included."""
+    return id_bound <= 21 + (4 ** math.ceil(math.log(n * 3, 4)) if n > 5 else 0)
+
+
+def _sampled_ids(ns: Sequence[int], seeds: Sequence[int],
+                 id_bounds: Sequence[int]) -> np.ndarray:
+    """_random_ids(ns[k], seeds[k], id_bounds[k]) for every k, laid end to
+    end as one int64 array. pre: 0 <= ns[k] <= id_bounds[k] < 2^63 and
+    seeds[k] >= 0. Each run of consecutive cases that random.sample takes by
+    its set method, with bounds below 2^32, is decoded at once by
+    _set_method_ids, from one reseeded generator; the other cases run alone.
+    """
+    def decode(run: list[int]) -> np.ndarray:
+        return _set_method_ids(_reseeded(seeds[i] for i in run), [seeds[i] for i in run],
+                               [ns[i] for i in run], [id_bounds[i] for i in run])
+
+    parts: list[np.ndarray] = []
+    run: list[int] = []
+    for k, (n, bound) in enumerate(zip(ns, id_bounds)):
+        if bound < 2 ** 32 and not _pool_method(n, bound):
+            run.append(k)
+            continue
+        if run:
+            parts.append(decode(run))
+            run = []
+        parts.append(np.asarray(_random_ids(n, seeds[k], bound), dtype=np.int64))
+    if run:
+        parts.append(decode(run))
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _set_method_ids(rngs: Iterable[random.Random], seeds: Sequence[int], ns: Sequence[int],
+                    id_bounds: Sequence[int]) -> np.ndarray:
+    """random.Random(seeds[k]).sample(range(1, id_bounds[k] + 1), ns[k])
+    by sample's set method for every k, laid end to end as one int64 array;
+    rngs yields those generators, each used up before the next is drawn.
+
+    pre: 0 <= ns[k] <= id_bounds[k], and one case or bounds below 2^32. The
+    set method draws getrandbits(b), b the bit length of the bound, until a
+    draw below the bound that it has not drawn before, and takes
+    population[draw] = draw + 1. Each generator makes one getrandbits call
+    for a batch of draws (_batch_size), and all batches are decoded at
+    once. A case whose first n valid draws repeat none has them as its
+    sample: one sort of every case's first draws, shifted by the bounds
+    before it, finds the repeats (np.unique's index needs a stable
+    argsort). A case with a repeat or a short batch goes on in
+    _first_distinct, from a new generator of its seed past that batch.
+    """
+    bits = [bound.bit_length() for bound in id_bounds]
+    counts = [_batch_size(0, n, bound, b) for n, bound, b in zip(ns, id_bounds, bits)]
+    draws = _draws(rngs, bits, counts)
+    offsets = component_offsets(id_bounds)
+    valid = draws < np.repeat(np.array(id_bounds, dtype=draws.dtype), counts)
+    have = np.add.reduceat(valid, component_offsets(counts)[:-1], dtype=np.int64)
+    draws = draws[valid].astype(np.int64)
+    # each case's first n valid draws, shifted by the bounds before it
+    taken = np.minimum(have, ns)
+    at = np.repeat(component_offsets(have)[:-1] - component_offsets(taken)[:-1], taken)
+    at += np.arange(len(at))
+    head = draws[at]
+    keys = head + np.repeat(offsets[:-1], taken)
+    have = have.tolist()
+    keys.sort()
+    repeats = keys[1:][keys[1:] == keys[:-1]]
+    redo = set((np.searchsorted(offsets, repeats, side="right") - 1).tolist())
+    redo |= {k for k, n in enumerate(ns) if have[k] < n}
+    if redo:
+        # the heads of the other cases stay, between the redone ones
+        starts = component_offsets(have).tolist()
+        ends = component_offsets(np.minimum(have, ns)).tolist()
+        parts, at = [], 0
+        for k in sorted(redo):
+            rng = _seeded(seeds[k])
+            rng.getrandbits(32 * -(-bits[k] // 32) * counts[k])
+            parts += [head[at:ends[k]],
+                      _first_distinct(rng, ns[k], id_bounds[k], draws[starts[k]:starts[k + 1]])]
+            at = ends[k + 1]
+        head = np.concatenate(parts + [head[at:]])
+    return head + 1
+
+
+def _reseeded(seeds: Iterable[int]) -> Iterator[random.Random]:
+    """One generator, reseeded with each seed in turn: random.Random(seed)
+    for each seed, as long as each is used up before the next is drawn.
+    pre: every seed >= 0."""
+    gen = random.Random()
+    for seed in seeds:
+        gen.seed(seed)
+        yield gen
+
+
+def _first_distinct(rng: random.Random, n: int, id_bound: int,
+                    draws: np.ndarray) -> np.ndarray:
+    """The first n distinct draws of the set method, in draw order, given
+    its valid draws so far: rng draws on where they stopped until n differ."""
+    bits = id_bound.bit_length()
+    while True:
         _, first = np.unique(draws, return_index=True)
-        have = len(first)
+        if len(first) >= n:
+            break
+        batch = _draws([rng], [bits], [_batch_size(len(first), n, id_bound, bits)])
+        draws = np.concatenate([draws, batch[batch < id_bound]])
     first.sort()
-    ids = draws[first[:n]]
-    ids += 1
-    return ids
+    return draws[first[:n]]
 
 
-def _draws(rng: random.Random, bits: int, k: int) -> np.ndarray:
-    """k calls to rng.getrandbits(bits), 1 <= bits <= 63, from one
-    getrandbits(32wk) call, w = ceil(bits / 32): each call takes w 32-bit
-    generator outputs, packed little-endian, and shifts the top one right
-    by 32w - bits; coin_flips is the case bits = 1 across many generators.
-    uint32 for one word, int64 for two."""
-    w = -(-bits // 32)
-    words = rng.getrandbits(32 * w * k).to_bytes(4 * w * k, "little")
-    words = np.frombuffer(words, dtype="<u4").reshape(k, w)
-    draws = words[:, -1] >> (32 * w - bits)
-    if w == 2:
-        draws = draws.astype(np.int64) << 32
-        draws |= words[:, 0]
+def _batch_size(have: int, n: int, id_bound: int, bits: int) -> int:
+    """Draws to expect before n - have more distinct values come, given
+    `have`: each is below id_bound with probability id_bound / 2^bits, and
+    is new with probability (id_bound - k) / id_bound after k distinct ones.
+    A margin of a few deviations makes a second batch rare."""
+    left = 2.0 ** bits * (math.log1p(-have / id_bound) - math.log1p(-n / id_bound))
+    return int(left + 4 * math.sqrt(left)) + 32
+
+
+def _draws(rngs: Iterable[random.Random], bits: Sequence[int],
+           counts: Sequence[int]) -> np.ndarray:
+    """counts[k] calls to rngs[k].getrandbits(bits[k]) for every k, laid
+    end to end; each bits[k] in 1..63, all of one word count
+    w = ceil(bits / 32). Each generator makes one getrandbits(32 w counts[k])
+    call: a call of b bits takes w 32-bit outputs, packed little-endian, and
+    shifts the top one right by 32w - b. uint32 for one word, int64 for two."""
+    w = -(-max(bits, default=1) // 32)
+    words = np.frombuffer(b"".join(rng.getrandbits(32 * w * k).to_bytes(4 * w * k, "little")
+                                   for rng, k in zip(rngs, counts)), dtype="<u4")
+    shift = np.repeat(np.array([32 * w - b for b in bits], dtype=np.uint8), counts)
+    if w == 1:
+        return words >> shift
+    words = words.reshape(-1, 2)
+    draws = (words[:, 1] >> shift).astype(np.int64) << 32
+    draws |= words[:, 0]
     return draws
 
 
@@ -454,9 +575,7 @@ def coin_flips(rngs: Sequence[random.Random], counts: Sequence[int]) -> np.ndarr
     call, which packs c 32-bit outputs little-endian, and getrandbits(1) is
     the top bit of one output: the bytes of all the calls are joined and
     their top bits decoded at once."""
-    words = b"".join(rng.getrandbits(32 * k).to_bytes(4 * k, "little")
-                     for rng, k in zip(rngs, counts))
-    return (np.frombuffer(words, dtype="<u4") >> 31).astype(np.int8)
+    return _draws(rngs, [1] * len(counts), counts).astype(np.int8)
 
 
 class Cut:

@@ -16,10 +16,20 @@ pairing pass, each from its own seed, and per-case counts are cumulative
 sums cut at the component offsets. Each suite still draws its cases from
 its seed in the same order, so its report equals a per-case loop's.
 
+The oracle corpus calls the exact oracle once per case, on the case's
+component of its union taken as it is (no graph or orientation is rebuilt
+or checked), and then runs the flip ledger once per union:
+bounds.decompose on the union with every witness side by side, and
+bounds._flip_ledgers, which cuts every count at the component offsets. The
+decomposition reaches the rules through bounds, so a rule swapped here
+changes the suites that call it, not the ledger. median-floor decodes the
+random labellings of a union at once (graphs._sampled_ids), each exactly
+random_labelling's IDs for its seed.
+
 folklore's random cuts are decoded a block of seeds at a time: coin_flips
-turns one generator per seed into one column of a vertices-by-trials side
-matrix, and one gather per edge endpoint counts every trial's cut, each
-equal to cut_size(g, random_cut(g, seed)).
+turns one generator, reseeded per trial, into one column of a
+vertices-by-trials side matrix, and one gather per edge endpoint counts
+every trial's cut, each equal to cut_size(g, random_cut(g, seed)).
 """
 
 from __future__ import annotations
@@ -52,12 +62,15 @@ from .generators import (
     orient_clockwise,
 )
 from .graphs import (
+    Cut,
     Labelling,
     Orientation,
     RegularGraph,
-    _random_ids,
+    _reseeded,
+    _sampled_ids,
     _seeded,
     coin_flips,
+    component_counts,
     component_offsets,
     cut_edges,
     dicut_arcs,
@@ -98,13 +111,6 @@ def _even_n(rng: random.Random, d: int, max_n: int) -> int:
 def double_circulant_halves(d: int) -> tuple[int, ...]:
     """Family sizes exercised per degree: smallest legal, 2d, and 12."""
     return tuple(sorted({max(2 * (d - 1), d + 1), 2 * d, 12}))
-
-
-def _per_case(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per component, the set entries of a mask over a union's vertices or
-    edges() rows, component k spanning offsets[k] .. offsets[k+1] - 1."""
-    counts = np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])
-    return counts[offsets[1:]] - counts[offsets[:-1]]
 
 
 def _runs(sizes: list[int]) -> list[slice]:
@@ -155,6 +161,16 @@ def _oriented_unions(cases: list[tuple[int, int, int, int]]
             yield idx, make_random_orientation_union(g, ns, [cases[i][3] for i in idx])
 
 
+def _components(o: Orientation, ns: list[int]) -> Iterator[Orientation]:
+    """Each component of a union from _oriented_unions, with ns[k] vertices,
+    as the orientation it is alone: its rows of the adjacency and of the
+    arcs, renumbered from 0 and kept unchecked."""
+    d, offsets = o.graph.d, component_offsets(ns).tolist()
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        g = RegularGraph._trusted(o.graph.adj[a:b] - a)
+        yield Orientation._trusted(g, o.arcs[a * d // 2:b * d // 2] - a)
+
+
 def _median_cut_sizes(blocks: list[np.ndarray], seeds: list[int], d: int
                       ) -> list[tuple[int, int]]:
     """(k, cut size) for each case k below the median floor: case k is the
@@ -162,9 +178,10 @@ def _median_cut_sizes(blocks: list[np.ndarray], seeds: list[int], d: int
     ns = [len(b) for b in blocks]
     shift = max(ns) ** 3 + 1  # random_labelling's IDs lie in [1, n^3]
     g = _union(blocks, d)
-    ids = [np.add(_random_ids(n, s, n ** 3), k * shift) for k, (n, s) in enumerate(zip(ns, seeds))]
-    lab = Labelling(np.concatenate(ids), id_bound=len(ns) * shift)
-    sizes = _per_case(cut_edges(g, median_cut(g, lab)), component_offsets(ns) * d // 2)
+    ids = _sampled_ids(ns, seeds, [n ** 3 for n in ns])
+    ids += np.repeat(np.arange(len(ns), dtype=np.int64) * shift, ns)
+    lab = Labelling(ids, id_bound=len(ns) * shift)
+    sizes = component_counts(cut_edges(g, median_cut(g, lab)), component_offsets(ns) * d // 2)
     # the floor n/2 + (d^2 - 1)/4, times 4
     low = np.flatnonzero(4 * sizes < 2 * np.array(ns) + d * d - 1)
     return list(zip(low.tolist(), sizes[low].tolist()))
@@ -212,28 +229,23 @@ def verify_median_floor(seed: int = 0, degrees: tuple[int, ...] = (3, 5, 7),
 @lru_cache(maxsize=4)
 def _ratio_records(degrees: tuple[int, ...], cases_per_degree: int,
                    max_n: int, seed: int) -> tuple[dict, ...]:
-    """Shared corpus: random orientations with oracle OPT and decompositions.
+    """Shared corpus: random orientations with oracle OPT and flip ledgers,
+    one bounds._flip_ledgers record per case.
 
     Cached because three suites (ratio, inequalities, two-flip floor) read
-    the same records and the oracle pass is the expensive part.
+    the same records and the oracle pass is the expensive part. The oracle
+    runs once per case, on its component of the union; the decomposition
+    and the ledger run once per union, with every case's witness side by
+    side.
     """
     rng = _seeded(seed)
     cases = [_draw_case(rng, d, max_n) for d in degrees for _ in range(cases_per_degree)]
     records: list[dict] = [{}] * len(cases)
     for idx, union in _oriented_unions(cases):
-        d, offsets = union.graph.d, component_offsets([cases[i][1] for i in idx]).tolist()
-        for i, a, b in zip(idx, offsets[:-1], offsets[1:]):
-            g = RegularGraph(union.graph.adj[a:b] - a, d=d)
-            o = Orientation(g, union.arcs[a * d // 2:b * d // 2] - a)
-            opt, witness = max_dicut_exact(o)
-            dec = bounds.decompose(o, witness)
-            records[i] = {
-                "d": d,
-                "n": g.n,
-                "opt": opt,
-                "cuts": dec.cut_sizes,
-                "verdicts": bounds.check_inequalities(dec),
-            }
+        ns = [cases[i][1] for i in idx]
+        witness = Cut(np.concatenate([max_dicut_exact(o)[1].sides for o in _components(union, ns)]))
+        for i, record in zip(idx, bounds._flip_ledgers(bounds.decompose(union, witness), ns)):
+            records[i] = record
     return tuple(records)
 
 
@@ -253,7 +265,8 @@ def verify_oriented_ratio(seed: int = 0,
     sizes = [0] * len(floor)
     for idx, o in _oriented_unions(floor):
         offsets = component_offsets([floor[i][1] for i in idx]) * o.graph.d // 2
-        for i, size in zip(idx, _per_case(dicut_arcs(o, oriented_median_cut(o)), offsets).tolist()):
+        cut = dicut_arcs(o, oriented_median_cut(o))
+        for i, size in zip(idx, component_counts(cut, offsets).tolist()):
             sizes[i] = size
     cases = len(floor)
     for (d, n, _, _), size in zip(floor, sizes):
@@ -349,9 +362,10 @@ def verify_flip_monotonicity(seed: int = 0, cases: int = 1000,
             c_next = unstable_flip_step(o, c)
             stable_next = stable_vertices(g, c_next)
             arcs_next = dicut_arcs(o, c_next)
-            bad[idx, j, 0] = _per_case(stable & ~stable_next, voffsets) > 0
-            bad[idx, j, 1] = _per_case(arcs & ~arcs_next, eoffsets) > 0
-            bad[idx, j, 2] = _per_case(arcs_next, eoffsets) < _per_case(arcs, eoffsets)
+            bad[idx, j, 0] = component_counts(stable & ~stable_next, voffsets) > 0
+            bad[idx, j, 1] = component_counts(arcs & ~arcs_next, eoffsets) > 0
+            bad[idx, j, 2] = (component_counts(arcs_next, eoffsets)
+                              < component_counts(arcs, eoffsets))
             c, stable, arcs = c_next, stable_next, arcs_next
     what = ("stable set shrank", "dicut arcs left the cut", "dicut size decreased")
     violations = [f"case {i}: {what[k]}" for i, _, k in zip(*np.nonzero(bad))]
@@ -486,7 +500,7 @@ def verify_folklore(seed: int = 0, trials: int = 10 ** 4,
     for first in range(seed + 1, stop, block):
         seeds = range(first, min(first + block, stop))
         # column j is random_cut(g, seeds[j]).sides
-        sides = coin_flips([random.Random(s) for s in seeds], [n] * len(seeds))
+        sides = coin_flips(_reseeded(seeds), [n] * len(seeds))
         sides = np.ascontiguousarray(sides.reshape(len(seeds), n).T)
         cut = sides[u]
         cut ^= sides[v]

@@ -1,5 +1,6 @@
 """Instance generators: structure, determinism, frozen family values."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -36,6 +37,7 @@ from localcut import (
     oriented_median_cut,
     oriented_median_plus_flips,
     oriented_ratio,
+    random_labelling,
     stuck_sets,
 )
 import localcut
@@ -308,6 +310,37 @@ def test_random_regular_leaves_numpy_random_unimported():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def sha256_of(a) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def test_random_regular_at_n_10_5_peaks_near_its_adjacency():
+    # n = 10^5, d = 5: a 3.8 MiB adjacency. The one-case round draws its
+    # stub keys in chunks into one array and derives the vertices and edge
+    # keys in place; the digest is the graph this seed gave before that
+    out = []
+    peak = peak_bytes(lambda: out.append(make_random_regular(10 ** 5, 5, seed=1)))
+    assert peak <= 11 * 2 ** 20, peak
+    assert sha256_of(out[0].adj) == (
+        "03cd3636437534f3775d623112c4aed76329814d0f7c8e2d8ea2790e3aa3f96d")
+
+
+def test_orientations_at_n_10_5_peak_near_their_arcs():
+    # 3.8 MiB of arcs: the rows of edges() are built beside one
+    # column-sized temporary and the backward rows reversed in place; the
+    # digests are the arcs these seeds gave before that
+    g = make_random_regular(10 ** 5, 5, seed=1)
+    lab = random_labelling(g.n, seed=3)
+    out = []
+    peak = peak_bytes(lambda: out.append(make_random_orientation(g, seed=2)))
+    assert peak <= 6.6 * 2 ** 20, peak
+    peak = peak_bytes(lambda: out.append(make_id_orientation(g, lab)))
+    assert peak <= 8 * 2 ** 20, peak
+    assert [sha256_of(o.arcs) for o in out] == [
+        "bbd021dd3e9a2d8f71dd5d44f50fc847d18be2a9a312af6434741e2eb5d39ebb",
+        "1b7e4d4409cb544592b3c51f55c259f861c3f58f7a707bfca8f95420057830dd"]
 
 
 def test_make_id_orientation():

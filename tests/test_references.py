@@ -727,9 +727,100 @@ def test_decomposition_matches_set_reference(case):
 def test_decomposition_masks_are_read_only():
     o = make_id_orientation(complete_graph(4), identity_labelling(4))
     dec = decompose(o, Cut.from_left_set(4, [0, 1]))
-    for name in ("M", "M_star", "M_one", "E0", "E1", "F0", "U0", "U1"):
+    for name in ("M", "M_star", "M_one", "E0", "E1", "F0", "U0", "U1", "deficits", "arcs",
+                 "cut_arcs"):
         with pytest.raises(ValueError):
             getattr(dec, name)[0] = True
+
+
+def lone_ledger(o, witness):
+    """The ledger record of one orientation from its own decomposition."""
+    dec = decompose(o, witness)
+    return {"d": dec.d, "n": dec.n, "opt": dec.opt, "cuts": dec.cut_sizes,
+            "verdicts": check_inequalities(dec)}
+
+
+@pytest.mark.parametrize("witnesses", ["optimal", "random", "mixed"])
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_union_ledger_equals_each_components_own(d, witnesses):
+    # one decompose and one ledger over a union give every component the
+    # counts and verdicts of its own decompose, check_inequalities and
+    # ref_decompose, with the oracle's witnesses or with random cuts, which
+    # decompose trusts as optimal though most fall short
+    rng = random.Random(d)
+    ns = [_even_n(rng, d, 16) for _ in range(9)]
+    gseeds, oseeds = ([rng.randrange(2 ** 32) for _ in ns] for _ in range(2))
+    union = make_random_orientation_union(make_random_regular_union(ns, d, gseeds), ns, oseeds)
+    lone, sides = [], []
+    for k, (n, gseed, oseed) in enumerate(zip(ns, gseeds, oseeds)):
+        o = make_random_orientation(make_random_regular(n, d, seed=gseed), seed=oseed)
+        if witnesses == "optimal" or (witnesses == "mixed" and k % 2):
+            witness = max_dicut_exact(o)[1]
+        else:
+            witness = Cut([rng.getrandbits(1) for _ in range(n)])
+        lone.append((o, witness, max_dicut_exact(o)[0]))
+        sides.append(witness.sides)
+    ledgers = bounds._flip_ledgers(decompose(union, Cut(np.concatenate(sides))), ns)
+    assert len(ledgers) == len(ns)
+    short = 0
+    for ledger, (o, witness, opt) in zip(ledgers, lone):
+        assert ledger == lone_ledger(o, witness)
+        ref = ref_decompose(o.graph.adj.tolist(), [tuple(a) for a in o.arcs.tolist()],
+                            witness.sides.tolist())
+        assert {k: (v.lhs, v.rhs) for k, v in ledger["verdicts"].items()} == ref_inequalities(ref)
+        assert (ledger["opt"], ledger["cuts"]) == (ref["opt"], ref["cut_sizes"])
+        assert all(type(v.lhs) is int and type(v.rhs) is int for v in ledger["verdicts"].values())
+        short += ledger["opt"] < opt
+    assert (short > 0) == (witnesses != "optimal")
+
+
+def test_ledger_components_must_cover_the_decomposition():
+    o = make_id_orientation(complete_graph(4), identity_labelling(4))
+    dec = decompose(o, Cut.from_left_set(4, [0, 1]))
+    assert bounds._flip_ledgers(dec, [4])[0]["verdicts"] == check_inequalities(dec)
+    with pytest.raises(InvalidParameterError, match="components of 6 vertices"):
+        bounds._flip_ledgers(dec, [4, 2])
+
+
+def test_ledger_rejects_arcs_outside_their_components_rows():
+    # the ledger cuts the arc rows at the component offsets: arcs shuffled
+    # within each component's block keep every record, while arcs shuffled
+    # across blocks make a valid Orientation that the ledger refuses; taken
+    # as one component, the order of the arcs does not matter
+    ns, d = [8, 10, 6, 12], 3
+    union = make_random_orientation_union(make_random_regular_union(ns, d, [1, 2, 3, 4]), ns,
+                                          [5, 6, 7, 8])
+    witness = Cut(np.concatenate([max_dicut_exact(o)[1].sides
+                                  for o in verify._components(union, ns)]))
+    want = bounds._flip_ledgers(decompose(union, witness), ns)
+    rows = [n * d // 2 for n in ns]
+    rng = np.random.default_rng(0)
+    within = np.concatenate([start + rng.permutation(m)
+                             for start, m in zip(np.cumsum([0] + rows), rows)])
+    across = rng.permutation(sum(rows))
+
+    def shuffled(order):
+        return decompose(Orientation(union.graph, union.arcs[order]), witness)
+
+    assert bounds._flip_ledgers(shuffled(within), ns) == want
+    with pytest.raises(InvalidParameterError, match="arcs must be the block of rows"):
+        bounds._flip_ledgers(shuffled(across), ns)
+    assert check_inequalities(shuffled(across)) == check_inequalities(decompose(union, witness))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_ratio_records_equal_a_per_case_oracle_and_ledger(seed):
+    # the corpus the three oracle suites share, d = 7 included: each record
+    # is what the lone orientation gets from the oracle, decompose and
+    # check_inequalities
+    rng = random.Random(seed)
+    cases = [verify._draw_case(rng, d, 16) for d in (3, 5, 7) for _ in range(6)]
+    records = verify._ratio_records((3, 5, 7), 6, 16, seed)
+    assert len(records) == len(cases)
+    for (d, n, gseed, oseed), record in zip(cases, records):
+        o = make_random_orientation(make_random_regular(n, d, seed=gseed), seed=oseed)
+        opt, witness = max_dicut_exact(o)
+        assert record == lone_ledger(o, witness) and record["opt"] == opt
 
 
 # --- round simulator ---------------------------------------------------------------
@@ -991,10 +1082,59 @@ def test_random_ids_continue_across_short_batches(monkeypatch, n, id_bound):
     # batches cut to 7 draws make the decode draw again and again; the
     # stream must go on where the last batch ended (1300 > the set method's
     # threshold 1045 at n=300, so many draws repeat)
-    draws = graphs._draws
-    monkeypatch.setattr(graphs, "_draws", lambda rng, bits, k: draws(rng, bits, min(k, 7)))
+    monkeypatch.setattr(graphs, "_batch_size", lambda have, n, id_bound, bits: 7)
     want = random.Random(1).sample(range(1, id_bound + 1), n)
     assert random_labelling(n, 1, id_bound).ids.tolist() == want
+
+
+@st.composite
+def id_cases(draw):
+    """Up to 30 (n, seed, id_bound) cases for one batch: n up to 60 with the
+    default bound n^3, bounds where random.sample takes its pool method,
+    bounds from 2^32 on (two 32-bit words per draw) and up to 2^62."""
+    def case(n):
+        return st.tuples(st.just(n), seeds, st.one_of(
+            st.just(n ** 3),
+            st.integers(min_value=n, max_value=21 + 4 * n),
+            st.integers(min_value=max(n, 2 ** 32 - 2), max_value=2 ** 32 + 2),
+            st.integers(min_value=max(n, 1), max_value=2 ** 62),
+        ).filter(lambda b: b >= n))
+    return draw(st.lists(st.integers(min_value=0, max_value=60).flatmap(case), max_size=30))
+
+
+def batched_and_sampled(cases):
+    ns, case_seeds, bounds_ = (list(x) for x in zip(*cases)) if cases else ([], [], [])
+    want = [i for n, s, b in cases for i in random.Random(s).sample(range(1, b + 1), n)]
+    return graphs._sampled_ids(ns, case_seeds, bounds_).tolist(), want
+
+
+@given(id_cases())
+@settings(max_examples=150)
+def test_batched_ids_are_each_cases_stdlib_sample(cases):
+    got, want = batched_and_sampled(cases)
+    assert got == want
+
+
+@given(id_cases())
+@settings(max_examples=40)
+def test_batched_ids_continue_across_short_batches(cases):
+    # batches of 3 draws leave most cases short after their first batch:
+    # each must go on drawing where its own stream stopped
+    with mock.patch.object(graphs, "_batch_size", lambda have, n, id_bound, bits: 3):
+        got, want = batched_and_sampled(cases)
+    assert got == want
+
+
+def test_batched_ids_of_the_median_floor_corpus():
+    # the sizes median-floor draws: every case by the set method, a few of
+    # them with a repeat among their first n draws
+    rng = random.Random(4)
+    cases = [(n, rng.randrange(2 ** 32), n ** 3) for n in
+             [rng.randrange(4, 21) * 2 for _ in range(300)]]
+    repeats = sum(len(set(first_valid_draws(s, n, b))) < n for n, s, b in cases)
+    assert 2 <= repeats < len(cases) // 10
+    got, want = batched_and_sampled(cases)
+    assert got == want
 
 
 def first_valid_draws(seed, n, id_bound):
